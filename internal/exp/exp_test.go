@@ -3,6 +3,10 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"iaclan/internal/channel"
+	"iaclan/internal/mac"
+	"iaclan/internal/testbed"
 )
 
 func TestRegistryCoversDesignIndex(t *testing.T) {
@@ -451,5 +455,37 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 	if a.Metrics["gain_mean"] == c.Metrics["gain_mean"] {
 		t.Fatal("different seeds produced identical results (suspicious)")
+	}
+}
+
+func TestFig15GroupKey(t *testing.T) {
+	f := &fig15Runner{}
+	a := f.key([]mac.ClientID{4, 9, 2})
+	if b := f.key([]mac.ClientID{4, 2, 9}); a != b {
+		t.Fatalf("non-head order changed the key: %v vs %v", a, b)
+	}
+	if b := f.key([]mac.ClientID{9, 4, 2}); a == b {
+		t.Fatalf("swapping the head kept the key %v", a)
+	}
+	if got, want := f.key([]mac.ClientID{7}), (groupKey{7, -1, -1}); got != want {
+		t.Fatalf("undersized group key %v, want %v", got, want)
+	}
+}
+
+// TestFig15FallbackRateFollowsDirection pins the undersized-group
+// fallback: the head is served alone at its 802.11-MIMO rate in the
+// runner's own link direction.
+func TestFig15FallbackRateFollowsDirection(t *testing.T) {
+	world := channel.DefaultTestbed(3)
+	scenario := testbed.PickScenario(world, fig15Clients, fig15APs)
+	const head = 5
+	down := testbed.BaselineDownlinkRate(scenario, head)
+	if up := testbed.BaselineUplinkRate(scenario, head); up == down {
+		t.Fatalf("uplink and downlink baselines coincide (%v); the test cannot tell them apart", up)
+	}
+	f := &fig15Runner{scenario: scenario, uplink: false, cache: map[groupKey]groupOutcome{}}
+	res := f.run([]mac.ClientID{head})
+	if res.Rate[0] != down || res.Lost[0] {
+		t.Fatalf("downlink fallback served rate %v (lost %v), want the downlink baseline %v", res.Rate[0], res.Lost[0], down)
 	}
 }

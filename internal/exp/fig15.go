@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"iaclan/internal/channel"
 	"iaclan/internal/mac"
@@ -22,28 +22,32 @@ const (
 
 // groupOutcome caches one transmission group's planned slot result so the
 // rate estimator (called combinatorially by brute force) and the slot
-// runner share work. Keyed by the sorted client set plus the head client
-// (who transmits two packets on the uplink).
+// runner share work. Keyed by groupKey.
 type groupOutcome struct {
 	sumRate   float64
 	perClient map[int]float64
 	ok        bool
 }
 
+// groupKey is a group's memo key: the head client (who transmits two
+// packets on the uplink), then the other members sorted, with -1 in
+// unused slots.
+type groupKey [fig15GroupSize]int32
+
 type fig15Runner struct {
 	scenario testbed.Scenario
 	uplink   bool
 	rng      *rand.Rand
-	cache    map[string]groupOutcome
+	cache    map[groupKey]groupOutcome
 }
 
-func (f *fig15Runner) key(group []mac.ClientID) string {
-	rest := make([]int, 0, len(group))
-	for _, c := range group[1:] {
-		rest = append(rest, int(c))
+func (f *fig15Runner) key(group []mac.ClientID) groupKey {
+	k := groupKey{-1, -1, -1}
+	for i, c := range group {
+		k[i] = int32(c)
 	}
-	sort.Ints(rest)
-	return fmt.Sprint(int(group[0]), rest)
+	slices.Sort(k[1:len(group)])
+	return k
 }
 
 // outcome plans and evaluates the group (or returns the cached result).
@@ -95,7 +99,7 @@ func (f *fig15Runner) run(group []mac.ClientID) mac.SlotResult {
 		// Fall back to serving the head alone at its baseline rate.
 		for i := range group {
 			if i == 0 {
-				res.Rate[i] = testbed.BaselineUplinkRate(f.scenario, int(group[i]))
+				res.Rate[i] = f.baselineRate(int(group[i]))
 			} else {
 				res.Lost[i] = true
 			}
@@ -115,6 +119,15 @@ func (f *fig15Runner) run(group []mac.ClientID) mac.SlotResult {
 	return res
 }
 
+// baselineRate is the client's 802.11-MIMO rate in the runner's link
+// direction.
+func (f *fig15Runner) baselineRate(client int) float64 {
+	if f.uplink {
+		return testbed.BaselineUplinkRate(f.scenario, client)
+	}
+	return testbed.BaselineDownlinkRate(f.scenario, client)
+}
+
 // fig15Gains runs the large-network experiment for one picker and
 // returns the per-client gains over the 802.11-MIMO TDMA baseline.
 func fig15Gains(cfg Config, uplink bool, mkPicker func(run int) mac.GroupPicker) ([]float64, error) {
@@ -128,7 +141,7 @@ func fig15Gains(cfg Config, uplink bool, mkPicker func(run int) mac.GroupPicker)
 		if run > 0 {
 			world.Perturb(1) // fresh fading between runs
 		}
-		fr := &fig15Runner{scenario: scenario, uplink: uplink, rng: rng, cache: map[string]groupOutcome{}}
+		fr := &fig15Runner{scenario: scenario, uplink: uplink, rng: rng, cache: map[groupKey]groupOutcome{}}
 		sim := mac.NewSimulator(
 			mac.Config{GroupSize: fig15GroupSize, MaxRetries: 1},
 			mkPicker(run), fr.estimate, fr.run,
@@ -149,14 +162,8 @@ func fig15Gains(cfg Config, uplink bool, mkPicker func(run int) mac.GroupPicker)
 			if st, ok := sim.Stats()[mac.ClientID(i)]; ok {
 				iacThroughput[i] += st.RateSum / float64(cfg.Slots)
 			}
-			var b float64
-			if uplink {
-				b = testbed.BaselineUplinkRate(scenario, i)
-			} else {
-				b = testbed.BaselineDownlinkRate(scenario, i)
-			}
 			// TDMA: each of the 17 clients gets 1/17 of the slots.
-			baseThroughput[i] += b / float64(fig15Clients)
+			baseThroughput[i] += fr.baselineRate(i) / float64(fig15Clients)
 		}
 	}
 	gains := make([]float64, 0, fig15Clients)

@@ -31,6 +31,12 @@ func antennaScenario(seed int64, clients, aps, antennas int) Scenario {
 // produce identical outcomes AND identical RNG streams afterwards; any
 // re-ordered or extra draw in the batched search would desynchronize
 // every later slot of a trial.
+//
+// The scalar reference keeps solveCandidates attempts for every
+// construction while the batched planner solves the deterministic
+// downlink triangle once per role assignment, so the downlink-triangle
+// rows also prove that one triangle attempt equals three, bit for bit
+// and in RNG position.
 func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 	chainClients := func(m int) int { return core.UplinkChainAssignment{M: m}.NumClients() }
 	shapes := []struct {
@@ -120,6 +126,33 @@ func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 						t.Fatalf("outcome diverged:\n batched=%+v\n scalar=%+v", got, want)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestDownlinkTriangleSearchWidth pins the triangle's search to one
+// solve per role assignment: 6 AP permutations x 9 estimated direction
+// products for scoring, plus the winner's 27 final products (est, true
+// and difference tables). Three attempts per permutation would read 189.
+func TestDownlinkTriangleSearchWidth(t *testing.T) {
+	const want = 6*9 + 27
+	for _, env := range []Env{{}, {MCS: mimo.DefaultRateTable()}} {
+		for _, cached := range []bool{false, true} {
+			s := antennaScenario(21, 3, 3, 2)
+			s.Env = env
+			var cache *SlotCache
+			if cached {
+				cache = NewSlotCache(s)
+			}
+			ws := phy.GetWorkspace()
+			out, err := RunDownlinkSlotWS(ws, cache, s, rand.New(rand.NewSource(91)))
+			phy.PutWorkspace(ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Batched != want {
+				t.Fatalf("mcs=%v cached=%v: triangle slot batched %d products, want %d", env.MCS != nil, cached, out.Batched, want)
 			}
 		}
 	}

@@ -145,8 +145,13 @@ func runUplinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, twoP
 	return out, nil
 }
 
-// solveCandidates is how many random-seeded solver attempts the leader
-// evaluates per role assignment before committing to a plan.
+// solveCandidates is how many solver attempts the leader evaluates per
+// role assignment before committing to a plan. Only the randomized
+// constructions get several: uplink three, the N-AP chain and downlink
+// diversity draw from the RNG, so each attempt is a fresh candidate. The
+// downlink triangle's closed form is deterministic, and the batched
+// planner solves it once per role assignment; the scalar reference
+// runners keep every construction at solveCandidates attempts.
 const solveCandidates = 3
 
 // plannedPlan bundles a solved plan with the channel estimates it was

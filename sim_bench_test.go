@@ -204,8 +204,8 @@ func BenchmarkSimTrialSweepParallel(b *testing.B) {
 	}
 }
 
-// benchSlotScenario builds a fixed 3-client/3-AP uplink scenario for the
-// slot-planning pair below.
+// benchSlotScenario builds a fixed 3-client/3-AP scenario for the
+// slot-planning benchmarks below.
 func benchSlotScenario() testbed.Scenario {
 	world := channel.DefaultTestbed(31)
 	return testbed.PickScenario(world, 3, 3)
@@ -239,6 +239,25 @@ func BenchmarkUplinkSlotMemoized(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := testbed.RunUplinkSlotWS(ws, cache, s, 0, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDownlinkSlotMemoized is the downlink twin of
+// BenchmarkUplinkSlotMemoized: the 3-client/3-AP triangle slot the
+// engine plans on a faded downlink, on a per-trial workspace and the
+// channel/estimate memo.
+func BenchmarkDownlinkSlotMemoized(b *testing.B) {
+	s := benchSlotScenario()
+	rng := rand.New(rand.NewSource(1))
+	ws := phy.GetWorkspace()
+	defer phy.PutWorkspace(ws)
+	cache := testbed.NewSlotCache(s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := testbed.RunDownlinkSlotWS(ws, cache, s, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
