@@ -132,21 +132,14 @@ func (m *Matrix) MulVecWS(ws *Workspace, v Vector) Vector {
 		panic("cmplxmat: MulVecWS shape mismatch")
 	}
 	out := ws.Vector(m.rows)
-	mulVecData(m.data, m.rows, m.cols, v, out)
-	return out
-}
-
-// mulVecData is the y = H v inner loop over flat row-major storage,
-// shared by MulVecWS and the batched EvaluateBatchWS kernel so the two
-// stay bitwise-identical.
-func mulVecData(h []complex128, rows, cols int, v, y []complex128) {
-	for i := 0; i < rows; i++ {
+	for i := 0; i < m.rows; i++ {
 		var s complex128
-		for j := 0; j < cols; j++ {
-			s += h[i*cols+j] * v[j]
+		for j := 0; j < m.cols; j++ {
+			s += m.data[i*m.cols+j] * v[j]
 		}
-		y[i] = s
+		out[i] = s
 	}
+	return out
 }
 
 // HWS returns the conjugate transpose of m in the arena.
@@ -234,16 +227,7 @@ func (m *Matrix) luDecomposeWS(ws *Workspace) (lu *Matrix, perm []int, swaps int
 	n := m.rows
 	lu = m.CloneWS(ws)
 	perm = ws.Ints(n)
-	swaps, ok = luFactorInPlace(lu.data, n, perm)
-	return lu, perm, swaps, ok
-}
-
-// luFactorInPlace runs the partial-pivot elimination of one n x n system
-// packed row-major in data, recording the row permutation in perm
-// (length n). It is the single elimination loop the scalar LU path and
-// the batched SolveBatchWS kernel share, which is what makes the two
-// bitwise-identical: same floating-point operations, same order.
-func luFactorInPlace(data []complex128, n int, perm []int) (swaps int, ok bool) {
+	data := lu.data
 	for i := range perm {
 		perm[i] = i
 	}
@@ -275,18 +259,13 @@ func luFactorInPlace(data []complex128, n int, perm []int) (swaps int, ok bool) 
 			}
 		}
 	}
-	return swaps, ok
+	return lu, perm, swaps, ok
 }
 
 // luSolveInto runs permutation + forward/back substitution of one
 // right-hand side through a packed LU factorization, writing into x.
 func luSolveInto(lu *Matrix, perm []int, b, x Vector) {
-	luSolveData(lu.data, lu.rows, perm, b, x)
-}
-
-// luSolveData is luSolveInto over a flat packed factorization — shared
-// by the scalar path and the batched kernel (see luFactorInPlace).
-func luSolveData(data []complex128, n int, perm []int, b, x Vector) {
+	data, n := lu.data, lu.rows
 	for i := 0; i < n; i++ {
 		x[i] = b[perm[i]]
 	}

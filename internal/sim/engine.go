@@ -139,11 +139,6 @@ type engine struct {
 	lostPackets int
 	retrains    int
 	retrainCost int
-	// batchSketch locally distributes the batched slot planner's
-	// per-plan dispatch sizes (SlotOutcome.Batched); merged into the
-	// registry's sim_batch_products distribution at trial end, so the
-	// hot path touches no shared state. Untouched when met is nil.
-	batchSketch stats.Sketch
 }
 
 func newEngine(cfg Config) (*engine, error) {
@@ -695,9 +690,6 @@ func (e *engine) plan(group []mac.ClientID, stripe int8) groupOutcome {
 	if err != nil {
 		return groupOutcome{}
 	}
-	if e.met != nil && res.Batched > 0 {
-		e.batchSketch.Add(float64(res.Batched))
-	}
 	// Iterate local indices in order rather than ranging the maps: the
 	// remap can accumulate several packets onto one client, and float
 	// accumulation order must not depend on randomized map iteration
@@ -875,7 +867,6 @@ func (e *engine) result() TrialResult {
 			m.timersCascaded.Add(ws.Cascaded)
 		}
 		m.latency.Merge(pooled)
-		m.batchProducts.Merge(&e.batchSketch)
 		if e.tp != nil {
 			m.transportRetransmits.Add(uint64(tr.Transport.Retransmits))
 			m.transportTimeouts.Add(uint64(tr.Transport.Timeouts))

@@ -25,12 +25,6 @@ type SlotOutcome struct {
 	PlannedPerClient map[int]float64
 	// Plan is the IAC plan that produced the outcome.
 	Plan *core.Plan
-	// Batched is how many direction products the batched planner
-	// gathered into strided kernel dispatches producing this outcome —
-	// candidate scorings plus the final evaluation. Zero from the scalar
-	// reference path. The observability plane distributes it as the
-	// batch size.
-	Batched int
 }
 
 // RunUplinkSlot plans and evaluates one IAC uplink slot for the scenario.
@@ -52,29 +46,20 @@ func RunUplinkSlot(s Scenario, twoPacketRole int, rng *rand.Rand) (SlotOutcome, 
 // optional channel memo. A nil cache draws fresh channel estimates for
 // the slot (the paper's per-slot training); a non-nil cache reuses the
 // epoch's per-pair estimates and skips re-deriving channel matrices.
-// Planning runs through the batched slot planner (PlanSlots +
-// EvaluateSlots), bitwise-identical to the scalar reference below.
 func RunUplinkSlotWS(ws *phy.Workspace, cache *SlotCache, s Scenario, twoPacketRole int, rng *rand.Rand) (SlotOutcome, error) {
-	slots, _ := PlanSlots(ws, cache, []SlotRequest{{S: s, Role: twoPacketRole}}, rng)
-	outs, errs, _ := EvaluateSlots(ws, slots)
-	return outs[0], errs[0]
-}
-
-// runUplinkSlotScalarWS is the historical one-evaluation-at-a-time slot
-// runner, kept verbatim as the differential reference the batched
-// planner's equivalence tests pin against.
-func runUplinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, twoPacketRole int, rng *rand.Rand) (SlotOutcome, error) {
 	nc, na := len(s.Clients), len(s.APs)
 	if twoPacketRole < 0 || twoPacketRole >= nc {
 		return SlotOutcome{}, fmt.Errorf("testbed: role %d out of range", twoPacketRole)
 	}
+	mark := ws.Mat.Mark()
+	defer ws.Mat.Release(mark)
 	// Order clients so the two-packet client sits at transmitter 0.
-	//iacvet:allow wsalloc:make historical differential reference kept verbatim (PR 8); one small index slice, off the batched hot path
-	order := make([]int, 0, nc)
-	order = append(order, twoPacketRole)
-	for i := 0; i < nc; i++ {
+	order := ws.Mat.Ints(nc)
+	order[0] = twoPacketRole
+	for i, k := 0, 1; i < nc; i++ {
 		if i != twoPacketRole {
-			order = append(order, i)
+			order[k] = i
+			k++
 		}
 	}
 	var baseTrue, baseEst core.ChannelSet
@@ -104,55 +89,35 @@ func runUplinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, twoP
 			return nil, fmt.Errorf("testbed: unsupported uplink shape %dx%d", nc, na)
 		}
 	}
-	// The leader chooses which AP plays which role in the construction
-	// by estimated rate (Section 7.1: the concurrency algorithm decides
-	// AP assignments along with the vectors).
 	track := (cache != nil && cache.trackPlanned) || s.Env.MCS != nil
-	plan, trueCS, err := bestRxAssignment(ws.Mat, baseTrue, baseEst, solve, s.Env.planOpts(), track)
+	plan, trueCS, err := bestAssignment(ws.Mat, baseTrue, baseEst, false, solveAttempts(false, nc, na), solve, s.Env.planOpts(), track)
 	if err != nil {
 		return SlotOutcome{}, err
 	}
-	mark := ws.Mat.Mark()
-	defer ws.Mat.Release(mark)
 	ev, err := plan.EvaluateOptsWS(ws.Mat, trueCS, plan.PlannedChannels, s.Env.trueOptsFor(plan.PlannedSINR))
 	if err != nil {
 		return SlotOutcome{}, err
 	}
-	out := SlotOutcome{SumRate: ev.SumRate, PerClient: map[int]float64{}, Plan: plan.Plan}
-	if mcs := s.Env.MCS; mcs != nil {
-		// Discrete rate adaptation: each packet was committed to the
-		// rung its planned SINR selected; it delivers that rung's bits
-		// when the realized SINR clears the threshold, nothing on
-		// outage.
-		out.SumRate = 0
-		for pkt, owner := range plan.Owner {
-			r := mcs.AchievedRate(plan.PlannedSINR[pkt], ev.SINR[pkt])
-			out.PerClient[order[owner]] += r
-			out.SumRate += r
-		}
-	} else {
-		for pkt, owner := range plan.Owner {
-			out.PerClient[order[owner]] += ev.PacketRate[pkt]
-		}
-	}
-	if plan.PlannedRate != nil {
-		//iacvet:allow wsalloc:make returned outcome map; escapes the workspace lifetime by design
-		out.PlannedPerClient = make(map[int]float64, len(out.PerClient))
-		for pkt, owner := range plan.Owner {
-			out.PlannedPerClient[order[owner]] += plan.PlannedRate[pkt]
-		}
-	}
-	return out, nil
+	return uplinkOutcome(plan, ev, s.Env, order), nil
 }
 
 // solveCandidates is how many solver attempts the leader evaluates per
-// role assignment before committing to a plan. Only the randomized
-// constructions get several: uplink three, the N-AP chain and downlink
-// diversity draw from the RNG, so each attempt is a fresh candidate. The
-// downlink triangle's closed form is deterministic, and the batched
-// planner solves it once per role assignment; the scalar reference
-// runners keep every construction at solveCandidates attempts.
+// role assignment for a randomized construction: uplink three, the N-AP
+// chain and downlink diversity draw random free vectors, so each
+// attempt is a fresh candidate.
 const solveCandidates = 3
+
+// solveAttempts is the per-shape attempt count of the role-assignment
+// search. The downlink triangle's closed form (Eqs. 5-7) draws no
+// randomness: a repeat attempt reproduces the first bit for bit and
+// cannot strictly beat it, so it is solved once per role assignment.
+// Every other construction gets solveCandidates attempts.
+func solveAttempts(downlink bool, clients, aps int) int {
+	if downlink && clients == 3 && aps == 3 {
+		return 1
+	}
+	return solveCandidates
+}
 
 // plannedPlan bundles a solved plan with the channel estimates it was
 // planned against (in the plan's receiver order) and, when requested,
@@ -175,30 +140,39 @@ type plannedPlan struct {
 // intermediate math on the given workspace.
 type solveFunc func(ws *cmplxmat.Workspace, est core.ChannelSet) (*core.Plan, error)
 
-// bestTxAssignment mirrors bestRxAssignment over the transmitter axis
-// (downlink: which AP carries which packet).
-func bestTxAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, solve solveFunc, opts core.EvalOptions, trackPlanned bool) (plannedPlan, core.ChannelSet, error) {
+// bestAssignment is the leader's role-assignment search: the concurrency
+// algorithm decides which AP plays which role along with the vectors
+// (Section 7.1). The search axis is the transmitters on the downlink
+// (which AP carries which client's packet, every permutation) and the
+// receivers on the uplink (rxOrders). For each role permutation it runs
+// attempts solves on the permuted estimates and scores each candidate
+// by its estimated sum rate (Section 7.2 estimates rates without
+// transmitting); each candidate's scratch is released before the next.
+// The first candidate to strictly beat the best so far wins. The winner
+// comes back with the true channels permuted into its role order; if no
+// candidate succeeds, the last solve or scoring error is returned.
+func bestAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, downlink bool, attempts int, solve solveFunc, opts core.EvalOptions, trackPlanned bool) (plannedPlan, core.ChannelSet, error) {
+	perms := rxOrders(estCS.NumRx())
+	if downlink {
+		perms = permutations(estCS.NumTx())
+	}
 	var best plannedPlan
-	var bestTrue core.ChannelSet
+	var bestPerm []int
 	bestRate := -1.0
 	var lastErr error
-	for _, perm := range permutations(trueCS.NumTx()) {
-		est := Permute(estCS, perm)
-		for attempt := 0; attempt < solveCandidates; attempt++ {
+	for _, perm := range perms {
+		est := permuteRoles(estCS, perm, downlink)
+		for attempt := 0; attempt < attempts; attempt++ {
 			mark := ws.Mark()
 			plan, err := solve(ws, est)
+			var ev core.Evaluation
+			if err == nil {
+				// Score with the planner's knowledge only (estimates).
+				ev, err = plan.EvaluateOptsWS(ws, est, est, opts)
+			}
 			if err != nil {
 				lastErr = err
-				ws.Release(mark)
-				continue
-			}
-			ev, err := plan.EvaluateOptsWS(ws, est, est, opts)
-			if err != nil {
-				lastErr = err
-				ws.Release(mark)
-				continue
-			}
-			if ev.SumRate > bestRate {
+			} else if ev.SumRate > bestRate {
 				bestRate = ev.SumRate
 				// Clone detaches the winner from the workspace before the
 				// release below reclaims the candidate's memory.
@@ -213,7 +187,7 @@ func bestTxAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, sol
 					}
 				}
 				best = winner
-				bestTrue = Permute(trueCS, perm)
+				bestPerm = perm
 			}
 			ws.Release(mark)
 		}
@@ -221,65 +195,16 @@ func bestTxAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, sol
 	if best.Plan == nil {
 		return plannedPlan{}, nil, lastErr
 	}
-	return best, bestTrue, nil
+	return best, permuteRoles(trueCS, bestPerm, downlink), nil
 }
 
-// bestRxAssignment tries the receiver-role orderings of rxOrders (every
-// permutation up to 3 APs, cyclic rotations beyond), solving on the
-// estimated channels and scoring by the estimated sum rate, and returns
-// the winner together with the true channels in the same order. Each
-// attempt's scratch is released before the next begins — plans are
-// heap-allocated, so keeping the winner is safe.
-func bestRxAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, solve solveFunc, opts core.EvalOptions, trackPlanned bool) (plannedPlan, core.ChannelSet, error) {
-	var best plannedPlan
-	var bestTrue core.ChannelSet
-	bestRate := -1.0
-	var lastErr error
-	for _, perm := range rxOrders(trueCS.NumRx()) {
-		est := PermuteRx(estCS, perm)
-		// Several solver attempts per role assignment: the solvers draw
-		// random free vectors, and the leader keeps the candidate with
-		// the best estimated rate (Section 7.2 estimates rates without
-		// transmitting).
-		for attempt := 0; attempt < solveCandidates; attempt++ {
-			mark := ws.Mark()
-			plan, err := solve(ws, est)
-			if err != nil {
-				lastErr = err
-				ws.Release(mark)
-				continue
-			}
-			// Score with the planner's knowledge only (estimates).
-			ev, err := plan.EvaluateOptsWS(ws, est, est, opts)
-			if err != nil {
-				lastErr = err
-				ws.Release(mark)
-				continue
-			}
-			if ev.SumRate > bestRate {
-				bestRate = ev.SumRate
-				// Clone detaches the winner from the workspace before the
-				// release below reclaims the candidate's memory.
-				winner := plannedPlan{Plan: plan.Clone(), PlannedChannels: est}
-				if trackPlanned {
-					// The previous winner's buffers are dead; reuse them.
-					winner.PlannedRate = append(best.PlannedRate[:0], ev.PacketRate...)
-					if opts.Rate != nil {
-						// Planner SINRs feed the MCS outage rule only;
-						// dynamics-mode tracking skips them.
-						winner.PlannedSINR = append(best.PlannedSINR[:0], ev.SINR...)
-					}
-				}
-				best = winner
-				bestTrue = PermuteRx(trueCS, perm)
-			}
-			ws.Release(mark)
-		}
+// permuteRoles applies a role permutation along the search axis:
+// transmitters on the downlink, receivers on the uplink.
+func permuteRoles(cs core.ChannelSet, perm []int, downlink bool) core.ChannelSet {
+	if downlink {
+		return Permute(cs, perm)
 	}
-	if best.Plan == nil {
-		return plannedPlan{}, nil, lastErr
-	}
-	return best, bestTrue, nil
+	return PermuteRx(cs, perm)
 }
 
 // RunDownlinkSlot plans and evaluates one IAC downlink slot. Supported
@@ -292,18 +217,8 @@ func RunDownlinkSlot(s Scenario, rng *rand.Rand) (SlotOutcome, error) {
 }
 
 // RunDownlinkSlotWS is RunDownlinkSlot with an explicit workspace and an
-// optional channel memo (see RunUplinkSlotWS). Planning runs through
-// the batched slot planner, bitwise-identical to the scalar reference
-// below.
+// optional channel memo (see RunUplinkSlotWS).
 func RunDownlinkSlotWS(ws *phy.Workspace, cache *SlotCache, s Scenario, rng *rand.Rand) (SlotOutcome, error) {
-	slots, _ := PlanSlots(ws, cache, []SlotRequest{{S: s, Downlink: true}}, rng)
-	outs, errs, _ := EvaluateSlots(ws, slots)
-	return outs[0], errs[0]
-}
-
-// runDownlinkSlotScalarWS is the historical scalar downlink runner,
-// kept verbatim as the batched planner's differential reference.
-func runDownlinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, rng *rand.Rand) (SlotOutcome, error) {
 	nc, na := len(s.Clients), len(s.APs)
 	var baseTrue, baseEst core.ChannelSet
 	if cache == nil {
@@ -329,10 +244,8 @@ func runDownlinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, rn
 			return nil, fmt.Errorf("testbed: unsupported downlink shape %dx%d clients/APs", nc, na)
 		}
 	}
-	// Downlink roles: the permutation runs over the transmitter (AP)
-	// axis here, deciding which AP carries which client's packet.
 	track := (cache != nil && cache.trackPlanned) || s.Env.MCS != nil
-	plan, trueCS, err := bestTxAssignment(ws.Mat, baseTrue, baseEst, solve, s.Env.planOpts(), track)
+	plan, trueCS, err := bestAssignment(ws.Mat, baseTrue, baseEst, true, solveAttempts(true, nc, na), solve, s.Env.planOpts(), track)
 	if err != nil {
 		return SlotOutcome{}, err
 	}
@@ -342,18 +255,50 @@ func runDownlinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, rn
 	if err != nil {
 		return SlotOutcome{}, err
 	}
+	return downlinkOutcome(plan, ev, s.Env), nil
+}
+
+// uplinkOutcome scatters one uplink evaluation into a SlotOutcome:
+// packets map to clients through the slot's role order. Under the MCS
+// table (discrete rate adaptation) each packet was committed to the
+// rung its planned SINR selected; it delivers that rung's bits when the
+// realized SINR clears the threshold, nothing on outage.
+func uplinkOutcome(plan plannedPlan, ev core.Evaluation, env Env, order []int) SlotOutcome {
+	out := SlotOutcome{SumRate: ev.SumRate, PerClient: map[int]float64{}, Plan: plan.Plan}
+	if mcs := env.MCS; mcs != nil {
+		out.SumRate = 0
+		for pkt, owner := range plan.Owner {
+			r := mcs.AchievedRate(plan.PlannedSINR[pkt], ev.SINR[pkt])
+			out.PerClient[order[owner]] += r
+			out.SumRate += r
+		}
+	} else {
+		for pkt, owner := range plan.Owner {
+			out.PerClient[order[owner]] += ev.PacketRate[pkt]
+		}
+	}
+	if plan.PlannedRate != nil {
+		out.PlannedPerClient = make(map[int]float64, len(out.PerClient))
+		for pkt, owner := range plan.Owner {
+			out.PlannedPerClient[order[owner]] += plan.PlannedRate[pkt]
+		}
+	}
+	return out
+}
+
+// downlinkOutcome scatters one downlink evaluation into a SlotOutcome:
+// downlink packets are destined to the receiver that decodes them, and
+// each packet is attributed to that client.
+func downlinkOutcome(plan plannedPlan, ev core.Evaluation, env Env) SlotOutcome {
 	out := SlotOutcome{SumRate: ev.SumRate, PerClient: map[int]float64{}, Plan: plan.Plan}
 	if plan.PlannedRate != nil {
-		//iacvet:allow wsalloc:make returned outcome map; escapes the workspace lifetime by design
 		out.PlannedPerClient = make(map[int]float64, len(out.PerClient))
 	}
-	mcs := s.Env.MCS
+	mcs := env.MCS
 	if mcs != nil {
 		out.SumRate = 0
 	}
 	for pkt := range plan.Owner {
-		// Downlink packets are destined to the receiver that decodes
-		// them; attribute each packet to that client.
 		client := downlinkDestination(plan.Plan, pkt)
 		if mcs != nil {
 			r := mcs.AchievedRate(plan.PlannedSINR[pkt], ev.SINR[pkt])
@@ -366,7 +311,7 @@ func runDownlinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, rn
 			out.PlannedPerClient[client] += plan.PlannedRate[pkt]
 		}
 	}
-	return out, nil
+	return out
 }
 
 // downlinkDestination finds which receiver decodes the packet.

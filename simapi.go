@@ -14,9 +14,6 @@ package iaclan
 //   - Results: SimSummary, SimTrial, SimCampusResult, LatencySketch.
 //   - Observability: the live-metrics registry/server types and the
 //     structured trace-event stream.
-//
-// A few aliases from earlier revisions survive at the bottom with
-// Deprecated notes; new code should not use them.
 
 import (
 	"fmt"
@@ -254,17 +251,3 @@ const (
 	SimEventRetransmit        = sim.EventRetransmit
 	SimEventRebuffer          = sim.EventRebuffer
 )
-
-// ---------------------------------------------------------------------
-// Deprecated aliases
-// ---------------------------------------------------------------------
-
-// SimResult is the former name of SimSummary.
-//
-// Deprecated: use SimSummary.
-type SimResult = sim.Summary
-
-// WorkloadKind is the former name of SimWorkloadKind.
-//
-// Deprecated: use SimWorkloadKind.
-type WorkloadKind = sim.WorkloadKind
