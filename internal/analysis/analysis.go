@@ -1,7 +1,7 @@
 // Package analysis is iaclan's project-specific static-analysis suite:
 // four golang.org/x/tools/go/analysis analyzers that enforce, at vet
 // time, the contracts every figure in this reproduction stakes its
-// numbers on — bit-identical serial/sharded runs, wheel-vs-scan
+// numbers on — bit-identical serial/sharded/pipeline runs, wheel-vs-scan
 // equivalence, observation-never-perturbs, and the zero-allocation
 // workspace discipline on the PHY sample plane.
 //

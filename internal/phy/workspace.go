@@ -51,10 +51,13 @@ func (w *Workspace) AntSamples(ants, perAnt int) [][]complex128 {
 // pool recycles warm sample-plane workspaces process-wide. The public
 // entry points that keep their allocation-free guts internal (Cancel
 // searches, slot evaluation wrappers) borrow from here. poolGets and
-// poolPuts count the pool's churn for the observability plane.
+// poolPuts count the pool's churn, and poolReuses counts pinned
+// in-place recycles that bypass the pool entirely, so the
+// observability plane can tell pool round-trips from arena reuse.
 var (
 	pool               = sync.Pool{New: func() any { return NewWorkspace() }}
 	poolGets, poolPuts atomic.Uint64
+	poolReuses         atomic.Uint64
 )
 
 // GetWorkspace borrows a warm workspace from the process-wide pool.
@@ -71,11 +74,25 @@ func PutWorkspace(ws *Workspace) {
 	pool.Put(ws)
 }
 
+// Recycle resets ws for its next use while keeping it pinned to the
+// caller — the steady-state path of the pipelined runner, where each
+// worker borrows one workspace for its whole lifetime and recycles it
+// between trials instead of bouncing it through the pool. Counted
+// separately from pool churn so gets minus puts still reads as
+// "workspaces currently out".
+func (w *Workspace) Recycle() {
+	w.Reset()
+	poolReuses.Add(1)
+}
+
 // PoolCounters reports the process-wide workspace pool's cumulative
-// borrow/return totals — gets minus puts is the number of workspaces
-// currently out (one per in-flight trial). Safe for concurrent use.
-func PoolCounters() (gets, puts uint64) {
-	return poolGets.Load(), poolPuts.Load()
+// borrow/return totals and the pinned-recycle count — gets minus puts
+// is the number of workspaces currently out (one per in-flight trial
+// or pipeline worker), and reuses counts Recycle calls that kept a
+// workspace pinned instead of round-tripping the pool. Safe for
+// concurrent use.
+func PoolCounters() (gets, puts, reuses uint64) {
+	return poolGets.Load(), poolPuts.Load(), poolReuses.Load()
 }
 
 // preambleSamples is the fixed pseudo-noise preamble, modulated once.

@@ -47,8 +47,12 @@ const (
 	// metricPoolGets / metricPoolPuts mirror the PHY workspace pool's
 	// churn, published as snapshot-time gauges (the pool is process
 	// global, so they span every concurrent sweep in the process).
-	metricPoolGets = "phy_pool_gets"
-	metricPoolPuts = "phy_pool_puts"
+	// metricPoolReuses counts pinned in-place recycles — the pipelined
+	// runner's steady state, where workers keep one workspace for their
+	// whole lifetime instead of round-tripping the pool per trial.
+	metricPoolGets   = "phy_pool_gets"
+	metricPoolPuts   = "phy_pool_puts"
+	metricPoolReuses = "phy_pool_reuses"
 	// Transport-plane counters: packets the closed loop re-injected
 	// after a final MAC drop, and the RTO timer firings behind them.
 	// Both stay zero with Config.Transport disabled.
@@ -67,6 +71,15 @@ const (
 	metricStreamSleepSlots    = "sim_stream_sleep_slots"
 	metricStreamStartupSlots  = "sim_stream_startup_slots"
 	metricStreamEnergyPerBit  = "sim_stream_energy_per_bit"
+	// Pipelined campus runner instrumentation: live aggregate depth of
+	// the worker->merge rings, cumulative producer/consumer stall yields,
+	// and per-stage busy nanoseconds (workers pooled vs the merge
+	// goroutine). All stay zero under the sharded reference runner.
+	metricPipelineRingDepth  = "sim_pipeline_ring_depth"
+	metricPipelinePushStalls = "sim_pipeline_push_stalls"
+	metricPipelinePopStalls  = "sim_pipeline_pop_stalls"
+	metricPipelineWorkerBusy = "sim_pipeline_worker_busy_ns"
+	metricPipelineMergeBusy  = "sim_pipeline_merge_busy_ns"
 )
 
 // cellThroughputGauge names cell i's live throughput gauge, set when
@@ -148,14 +161,18 @@ func newSimMetrics(reg *obs.Registry) *simMetrics {
 
 // registerPoolGauges publishes the PHY workspace pool's churn counters
 // as derived gauges. Registration is idempotent (register-or-replace),
-// so every engine sharing a registry lands on the same two gauges.
+// so every engine sharing a registry lands on the same three gauges.
 func registerPoolGauges(reg *obs.Registry) {
 	reg.GaugeFunc(metricPoolGets, func() float64 {
-		gets, _ := phy.PoolCounters()
+		gets, _, _ := phy.PoolCounters()
 		return float64(gets)
 	})
 	reg.GaugeFunc(metricPoolPuts, func() float64 {
-		_, puts := phy.PoolCounters()
+		_, puts, _ := phy.PoolCounters()
 		return float64(puts)
+	})
+	reg.GaugeFunc(metricPoolReuses, func() float64 {
+		_, _, reuses := phy.PoolCounters()
+		return float64(reuses)
 	})
 }

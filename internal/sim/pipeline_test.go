@@ -122,8 +122,8 @@ func TestPipelineRecyclesWorkspaces(t *testing.T) {
 }
 
 // TestPipelineObservability checks the pipeline's metrics surface: the
-// stage busy counters tick, the batch-size distribution fills from the
-// batched slot planner, and an Obs-attached run still matches the
+// stage busy counters tick, the pinned-recycle gauge counts the workers'
+// in-place workspace reuse, and an Obs-attached run still matches the
 // unobserved one bit for bit.
 func TestPipelineObservability(t *testing.T) {
 	cfg := pipelineCfg(Poisson)
@@ -149,11 +149,7 @@ func TestPipelineObservability(t *testing.T) {
 	if snap.Counters[metricPipelineMergeBusy] == 0 {
 		t.Fatal("merge busy counter never ticked")
 	}
-	d, ok := snap.Distributions[metricBatchProducts]
-	if !ok || d.Count == 0 {
-		t.Fatal("batch-products distribution is empty: the engine never tallied a batched slot")
-	}
-	if d.Min <= 0 {
-		t.Fatalf("batch-products distribution recorded a non-positive dispatch size: min %v", d.Min)
+	if snap.Gauges[metricPoolReuses] == 0 {
+		t.Fatal("pool reuses gauge never moved: the pipeline's pinned recycles went unreported")
 	}
 }

@@ -89,6 +89,15 @@ type Config struct {
 	// EngineScan exists as the differential-testing reference and escape
 	// hatch, not as a different model.
 	Engine string
+	// Pipeline routes RunCampus through the pipelined runner: workers
+	// with pinned workspace arenas claim (cell, trial) jobs off an
+	// atomic cursor, push finished trials through bounded SPSC rings,
+	// and a single merge stage scatters them into the result grid. The
+	// campus result is bit-identical to the sharded reference runner
+	// (each trial owns its world, RNG, and caches either way; only the
+	// scheduling changes), which stays the default and the
+	// differential-testing reference. Single-trial Run ignores it.
+	Pipeline bool
 	// Workload is the per-client offered-load model.
 	Workload Workload
 	// Transport configures the per-client windowed transport above the
