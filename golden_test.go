@@ -192,7 +192,8 @@ func goldenSlotCases() []goldenCase {
 // goldenSimCases runs the public simulation entry points over a small
 // matrix of planes: both link directions, channel dynamics with the
 // SNR-aware link plane, the closed-loop transport under streaming, and
-// a multi-cell campus.
+// multi-cell campuses, one per workload kind with dynamics and the full
+// link plane on.
 func goldenSimCases() []goldenCase {
 	base := func() SimConfig {
 		cfg := DefaultSimConfig()
@@ -228,19 +229,35 @@ func goldenSimCases() []goldenCase {
 	campus.APs = 4
 	campus.Trials = 1
 	campus.Cells = SimCells{Count: 3, Leak: 0.15}
-	return []goldenCase{
-		{"sim/uplink", single(uplink)},
-		{"sim/downlink", single(downlink)},
-		{"sim/dynamics-mcs-residual", single(dyn)},
-		{"sim/transport-streaming", single(stream)},
-		{"campus/3-cell", func(t *testing.T) string {
-			res, err := SimulateCampus(campus)
+	campusCase := func(cfg SimConfig) func(t *testing.T) string {
+		return func(t *testing.T) string {
+			res, err := SimulateCampus(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return digest(res)
-		}},
+		}
 	}
+	cases := []goldenCase{
+		{"sim/uplink", single(uplink)},
+		{"sim/downlink", single(downlink)},
+		{"sim/dynamics-mcs-residual", single(dyn)},
+		{"sim/transport-streaming", single(stream)},
+		{"campus/3-cell", campusCase(campus)},
+	}
+	for _, kind := range []SimWorkloadKind{WorkloadSaturated, WorkloadCBR, WorkloadPoisson, WorkloadBursty} {
+		cfg := base()
+		cfg.Clients = 6
+		cfg.APs = 4
+		cfg.Cycles = 12
+		cfg.Workers = 4
+		cfg.Workload = SimWorkload{Kind: kind, PacketsPerSlot: 0.25}
+		cfg.Cells = SimCells{Count: 3, Leak: 0.2}
+		cfg.Dynamics = SimDynamics{Eps: 0.3, CoherenceCycles: 2, RetrainCycles: 4, TrainSlots: 2, Mobility: true}
+		cfg.Link = SimLink{NoiseDB: 8, ResidualCancel: true, MCS: true}
+		cases = append(cases, goldenCase{"campus/" + string(kind) + "-dynamics-mcs-residual", campusCase(cfg)})
+	}
+	return cases
 }
 
 // TestGolden compares every case's digest against the checked-in table.
