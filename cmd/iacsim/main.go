@@ -14,7 +14,7 @@
 //	iacsim -workload streaming -load 0.1 -chunk 30 -transport -noise-db 6 -mcs -residual
 //	iacsim -aps 4 -cells 4 -leak 0.15 -workload saturated -mcs
 //	iacsim -cells 4 -trials 8 -status-addr localhost:8080   # live metrics at /status
-//	iacsim -cells 4 -trials 16 -pipeline -pprof-addr localhost:6060   # pipelined runner + profiles
+//	iacsim -cells 4 -trials 16 -pprof-addr localhost:6060   # live profiles
 package main
 
 import (
@@ -68,9 +68,8 @@ func main() {
 		residual = flag.Bool("residual", false, "imperfect cancellation: residues scale with the decoded packet's error")
 		mcs      = flag.Bool("mcs", false, "discrete MCS rate adaptation with per-packet outage for both schemes")
 
-		cells    = flag.Int("cells", 1, "multi-cell campus: number of cells (each -clients x -aps)")
-		leak     = flag.Float64("leak", 0.1, "inter-cell interference leakage per neighbour cell in [0,1]")
-		pipeline = flag.Bool("pipeline", false, "run campus sweeps through the pipelined runner (pinned workspace arenas, SPSC rings); bit-identical results")
+		cells = flag.Int("cells", 1, "multi-cell campus: number of cells (each -clients x -aps)")
+		leak  = flag.Float64("leak", 0.1, "inter-cell interference leakage per neighbour cell in [0,1]")
 
 		statusAddr = flag.String("status-addr", "", "serve live metrics on this host:port while the simulation runs (GET /status for JSON, /debug/vars for expvar); empty disables")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this host:port while the simulation runs (profiles at /debug/pprof/); empty disables")
@@ -165,7 +164,6 @@ func main() {
 		// them instead of silently running a single cell.
 		cfg.Cells = iaclan.SimCells{Count: *cells, Leak: *leak}
 	}
-	cfg.Pipeline = *pipeline
 
 	fmt.Printf("IAC traffic simulation: %d clients, %d APs, %s-link, %s load %.3g pkt/slot, %d cycles x %d trials\n",
 		cfg.Clients, cfg.APs, *dir, *workload, *load, cfg.Cycles, cfg.Trials)

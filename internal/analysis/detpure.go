@@ -18,9 +18,9 @@ import (
 // stop being bit-identical.
 //
 // Subchecks (pragma targets): wallclock, globalrand, env, select.
-// The legitimate wall-clock sites — TCP hub socket deadlines, pipeline
-// stall timing — feed metrics only, never simulation state, and carry
-// //iacvet:allow detpure:wallclock pragmas saying so.
+// The legitimate wall-clock sites — the TCP hub's socket deadlines and
+// poll timeouts — bound how long a call waits, never what a simulation
+// computes, and carry //iacvet:allow detpure:wallclock pragmas saying so.
 var DetPureAnalyzer = &analysis.Analyzer{
 	Name: "detpure",
 	Doc: "forbid ambient nondeterminism (time.Now, global math/rand, os.Getenv, " +

@@ -81,9 +81,15 @@ func getComplex(b []byte) complex128 {
 // Marshal encodes the poll frame:
 // type(1) fid(4) numAPs(1) dim(1) numEntries(2)
 // entries[client(2) enc(16*dim) dec(16*dim)] crc32(4).
+// It refuses any frame UnmarshalPollFrame would reject — zero APs, or a
+// vector dimension or entry count beyond its field — instead of
+// truncating it onto the wire.
 func (p PollFrame) Marshal() ([]byte, error) {
 	if p.Type != FrameDataPoll && p.Type != FrameGrant {
 		return nil, fmt.Errorf("%w: type %d is not a poll frame", ErrBadFrame, p.Type)
+	}
+	if p.NumAPs == 0 {
+		return nil, fmt.Errorf("%w: zero AP count", ErrBadFrame)
 	}
 	dim := 0
 	if len(p.Entries) > 0 {
@@ -93,6 +99,9 @@ func (p PollFrame) Marshal() ([]byte, error) {
 		if e.Encoding.Dim() != dim || e.Decoding.Dim() != dim {
 			return nil, fmt.Errorf("%w: inconsistent vector dimensions", ErrBadFrame)
 		}
+	}
+	if dim > math.MaxUint8 {
+		return nil, fmt.Errorf("%w: %d-dim vectors exceed the 1-byte dimension field", ErrBadFrame, dim)
 	}
 	if len(p.Entries) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: %d entries exceed the 2-byte count field", ErrBadFrame, len(p.Entries))
@@ -139,6 +148,11 @@ func UnmarshalPollFrame(b []byte) (PollFrame, error) {
 	}
 	dim := int(body[6])
 	n := int(binary.BigEndian.Uint16(body[7:9]))
+	if n == 0 && dim != 0 {
+		// Marshal writes dim 0 for an empty frame; any other value is
+		// not a frame it could have produced.
+		return PollFrame{}, fmt.Errorf("%w: dimension %d with no entries", ErrBadFrame, dim)
+	}
 	want := 9 + n*(2+32*dim)
 	if len(body) != want {
 		return PollFrame{}, fmt.Errorf("%w: length %d want %d", ErrBadFrame, len(body), want)
@@ -181,8 +195,9 @@ func ClampCFPDuration(slots int) uint16 {
 // Marshal encodes a beacon: type(1) dur(2) ackLen(2) ackMap crc(4).
 // The ack map must fit the 2-byte length field; longer maps error
 // instead of truncating into a frame that misparses. (The remaining
-// uint16 casts in this file are audited: PollFrame.Marshal guards its
-// entry count explicitly, and ClientID is already a uint16.)
+// narrowing casts in this file are audited: PollFrame.Marshal guards its
+// entry count and vector dimension explicitly, and ClientID is already
+// a uint16.)
 func (b Beacon) Marshal() ([]byte, error) {
 	if len(b.AckMap) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: %d-byte ack map exceeds the 2-byte length field", ErrBadFrame, len(b.AckMap))

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -57,7 +58,7 @@ func TestPollFrameEmptyEntries(t *testing.T) {
 }
 
 func TestPollFrameChecksumDetectsCorruption(t *testing.T) {
-	p := PollFrame{Type: FrameDataPoll, Entries: []VectorEntry{
+	p := PollFrame{Type: FrameDataPoll, NumAPs: 1, Entries: []VectorEntry{
 		{Client: 1, Encoding: cmplxmat.Vector{1, 0}, Decoding: cmplxmat.Vector{0, 1}},
 	}}
 	raw, err := p.Marshal()
@@ -79,11 +80,38 @@ func TestPollFrameValidation(t *testing.T) {
 		t.Fatal("beacon as poll frame not rejected")
 	}
 	// Inconsistent dims.
-	p := PollFrame{Type: FrameDataPoll, Entries: []VectorEntry{
+	p := PollFrame{Type: FrameDataPoll, NumAPs: 1, Entries: []VectorEntry{
 		{Client: 1, Encoding: cmplxmat.Vector{1, 0}, Decoding: cmplxmat.Vector{0}},
 	}}
 	if _, err := p.Marshal(); err == nil {
 		t.Fatal("ragged vectors not rejected")
+	}
+}
+
+// TestPollFrameMarshalRejectsUnparsable: Marshal must refuse every
+// frame UnmarshalPollFrame would reject rather than put it on the wire
+// — a vector dimension past the 1-byte field (once truncated into a
+// frame that failed its own length check) and a zero AP count.
+func TestPollFrameMarshalRejectsUnparsable(t *testing.T) {
+	wide := make(cmplxmat.Vector, 256)
+	for _, p := range []PollFrame{
+		{Type: FrameGrant, NumAPs: 3, Entries: []VectorEntry{{Client: 1, Encoding: wide, Decoding: wide}}},
+		{Type: FrameDataPoll},
+		{Type: FrameGrant, Entries: []VectorEntry{{Client: 1, Encoding: cmplxmat.Vector{1}, Decoding: cmplxmat.Vector{1}}}},
+	} {
+		if raw, err := p.Marshal(); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("NumAPs %d, %d entries: Marshal gave %d bytes, err %v; want ErrBadFrame",
+				p.NumAPs, len(p.Entries), len(raw), err)
+		}
+	}
+	// 255 is the widest dimension the field holds; it must round-trip.
+	edge := make(cmplxmat.Vector, 255)
+	raw, err := PollFrame{Type: FrameGrant, NumAPs: 3, Entries: []VectorEntry{{Client: 1, Encoding: edge, Decoding: edge}}}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := UnmarshalPollFrame(raw); err != nil || got.Entries[0].Encoding.Dim() != 255 {
+		t.Fatalf("255-dim frame did not round-trip: %v", err)
 	}
 }
 

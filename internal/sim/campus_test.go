@@ -20,30 +20,101 @@ func campusCfg() Config {
 	return cfg
 }
 
+// heavyCampusCfg is the heaviest campus shape the equivalence tests
+// run: dynamics (fading + mobility + retraining), the SNR-aware link
+// plane with residual cancellation and the discrete MCS table, and
+// inter-cell leakage — every subsystem whose state could leak between
+// (cell, trial) units sharing a worker.
+func heavyCampusCfg(kind WorkloadKind) Config {
+	cfg := Default()
+	cfg.Clients = 6
+	cfg.APs = 4
+	cfg.Cycles = 12
+	cfg.Trials = 2
+	cfg.Workload = Workload{Kind: kind, PacketsPerSlot: 0.25}
+	cfg.Cells = Cells{Count: 3, Leak: 0.2}
+	cfg.Dynamics = Dynamics{
+		Eps:             0.3,
+		CoherenceCycles: 2,
+		RetrainCycles:   4,
+		TrainSlots:      2,
+		Mobility:        true,
+	}
+	cfg.Link = Link{NoiseDB: 8, ResidualCancel: true, MCS: true}
+	return cfg
+}
+
 // TestCampusSerialMatchesSharded pins the headline determinism claim:
 // a campus sweep returns bit-identical results whether the (cell,
-// trial) units run on one worker or many.
+// trial) units run on one worker or many — for every workload kind on
+// the heavy shape, and for streaming under the closed-loop transport.
 func TestCampusSerialMatchesSharded(t *testing.T) {
-	cfg := campusCfg()
-	cfg.Workers = 1
-	serial, err := RunCampus(cfg)
-	if err != nil {
-		t.Fatal(err)
+	type campusCase struct {
+		name string
+		cfg  Config
 	}
-	cfg.Workers = 4
-	sharded, err := RunCampus(cfg)
-	if err != nil {
-		t.Fatal(err)
+	var cases []campusCase
+	for _, kind := range []WorkloadKind{Saturated, CBR, Poisson, Bursty} {
+		cases = append(cases, campusCase{string(kind), heavyCampusCfg(kind)})
 	}
-	// Workers is bookkeeping, not physics; normalize before comparing.
-	for i := range serial.PerCell {
-		serial.PerCell[i].Workers = 0
-		sharded.PerCell[i].Workers = 0
+	stream := streamCfg()
+	stream.Cycles = 60
+	stream.Trials = 3
+	stream.Cells = Cells{Count: 2, Leak: 0.1}
+	cases = append(cases, campusCase{"streaming-transport", stream})
+	for _, c := range cases {
+		cfg := c.cfg
+		t.Run(c.name, func(t *testing.T) {
+			cfg.Workers = 1
+			serial, err := RunCampus(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Workers = 4
+			sharded, err := RunCampus(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Workers is bookkeeping, not physics; normalize before comparing.
+			for i := range serial.PerCell {
+				serial.PerCell[i].Workers = 0
+				sharded.PerCell[i].Workers = 0
+			}
+			serial.Campus.Workers = 0
+			sharded.Campus.Workers = 0
+			if !reflect.DeepEqual(serial, sharded) {
+				t.Fatalf("sharded campus diverged from serial:\n%+v\nvs\n%+v", serial, sharded)
+			}
+		})
 	}
-	serial.Campus.Workers = 0
-	sharded.Campus.Workers = 0
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Fatalf("sharded campus diverged from serial:\n%+v\nvs\n%+v", serial, sharded)
+}
+
+// TestCampusSingleCellMatchesSweep pins the degenerate campus RunCampus
+// documents: a Count of 0 or 1 (leakage then has no neighbours to come
+// from) runs exactly the single-cell trial sweep, so its one cell and
+// the campus aggregate both equal RunSweep on the same config.
+func TestCampusSingleCellMatchesSweep(t *testing.T) {
+	for _, cells := range []Cells{{}, {Count: 1, Leak: 0.2}} {
+		cfg := heavyCampusCfg(CBR)
+		cfg.Cells = cells
+		res, err := RunCampus(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Cells = Cells{}
+		want, err := RunSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.PerCell) != 1 {
+			t.Fatalf("%+v: %d cells, want 1", cells, len(res.PerCell))
+		}
+		if !reflect.DeepEqual(res.PerCell[0], want) {
+			t.Fatalf("%+v: cell 0 diverged from RunSweep:\n%+v\nvs\n%+v", cells, res.PerCell[0], want)
+		}
+		if !reflect.DeepEqual(res.Campus, want) {
+			t.Fatalf("%+v: campus aggregate diverged from RunSweep:\n%+v\nvs\n%+v", cells, res.Campus, want)
+		}
 	}
 }
 

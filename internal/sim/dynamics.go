@@ -64,7 +64,7 @@ func (d Dynamics) enabled() bool {
 
 // validate rejects parameters outside the model.
 func (d Dynamics) validate() error {
-	if d.Eps < 0 || d.Eps > 1 {
+	if !(d.Eps >= 0 && d.Eps <= 1) {
 		return fmt.Errorf("sim: Dynamics.Eps %v outside [0, 1]", d.Eps)
 	}
 	if d.CoherenceCycles < 0 {
@@ -76,11 +76,11 @@ func (d Dynamics) validate() error {
 	if d.TrainSlots < 0 {
 		return fmt.Errorf("sim: Dynamics.TrainSlots must be >= 0")
 	}
-	if d.OutageFraction < 0 || d.OutageFraction > 1 {
+	if !(d.OutageFraction >= 0 && d.OutageFraction <= 1) {
 		return fmt.Errorf("sim: Dynamics.OutageFraction %v outside [0, 1]", d.OutageFraction)
 	}
-	if d.SpeedMetersPerInterval < 0 {
-		return fmt.Errorf("sim: Dynamics.SpeedMetersPerInterval must be >= 0")
+	if !(d.SpeedMetersPerInterval >= 0) || math.IsInf(d.SpeedMetersPerInterval, 1) {
+		return fmt.Errorf("sim: Dynamics.SpeedMetersPerInterval must be finite and >= 0")
 	}
 	return nil
 }

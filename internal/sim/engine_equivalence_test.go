@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -137,20 +138,46 @@ func TestEngineValidation(t *testing.T) {
 // Config.Validate answers exactly as the entry points do, including
 // error text, and a Validate-clean config runs.
 func TestValidateMatchesRunners(t *testing.T) {
-	bad := Default()
-	bad.GroupSize = 7
-	wantErr := bad.Validate()
-	if wantErr == nil {
-		t.Fatal("bad config validated")
+	with := func(mod func(*Config)) Config {
+		c := Default()
+		mod(&c)
+		return c
 	}
-	if _, err := Run(bad); err == nil || err.Error() != wantErr.Error() {
-		t.Fatalf("Run error %v, Validate error %v", err, wantErr)
-	}
-	if _, err := RunTrials(bad, 1, 1); err == nil || err.Error() != wantErr.Error() {
-		t.Fatalf("RunTrials error %v, Validate error %v", err, wantErr)
-	}
-	if _, err := RunCampus(bad); err == nil || err.Error() != wantErr.Error() {
-		t.Fatalf("RunCampus error %v, Validate error %v", err, wantErr)
+	for _, bad := range []Config{
+		with(func(c *Config) { c.GroupSize = 7 }),
+		// Each of these once passed Validate: a negative trial count
+		// panicked every sweep runner sizing its result slices, NaN
+		// slipped through the range checks, and an unbounded arrival
+		// rate hung the arrival loop.
+		with(func(c *Config) { c.Trials = -1 }),
+		with(func(c *Config) { c.Dynamics.Eps = math.NaN() }),
+		with(func(c *Config) { c.Dynamics.OutageFraction = math.NaN() }),
+		with(func(c *Config) { c.Dynamics.SpeedMetersPerInterval = math.Inf(1) }),
+		with(func(c *Config) { c.Workload.PacketsPerSlot = math.Inf(1) }),
+		with(func(c *Config) { c.Workload = Workload{Kind: CBR, PacketsPerSlot: 65} }),
+		with(func(c *Config) { c.Workload = Workload{Kind: Bursty, PacketsPerSlot: 0.2, Duty: 1e-300} }),
+		with(func(c *Config) { c.Workload = Workload{Kind: Bursty, PacketsPerSlot: 0.2, MeanBurstSlots: math.NaN()} }),
+		with(func(c *Config) { c.Workload = Workload{Kind: Streaming, PacketsPerSlot: 0.1, ChunkSlots: math.NaN()} }),
+		with(func(c *Config) {
+			c.Workload = Workload{Kind: Streaming, PacketsPerSlot: 0.1, SleepFraction: math.NaN()}
+		}),
+	} {
+		wantErr := bad.Validate()
+		if wantErr == nil {
+			t.Fatalf("bad config validated: %+v", bad)
+		}
+		if _, err := Run(bad); err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("Run error %v, Validate error %v", err, wantErr)
+		}
+		if _, err := RunTrials(bad, 1, 1); err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("RunTrials error %v, Validate error %v", err, wantErr)
+		}
+		if _, err := RunSweep(bad); err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("RunSweep error %v, Validate error %v", err, wantErr)
+		}
+		if _, err := RunCampus(bad); err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("RunCampus error %v, Validate error %v", err, wantErr)
+		}
 	}
 
 	// Zero-value Config validates (defaults fill it) and a tiny run works.

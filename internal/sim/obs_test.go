@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"iaclan/internal/obs"
+	"iaclan/internal/phy"
 )
 
 // obsCfg is a small campus with dynamics and retraining on, so every
@@ -100,9 +101,11 @@ func TestObservabilityDoesNotPerturb(t *testing.T) {
 // is a second, independently accumulated view of the same run.
 func TestRegistryCountsMatchSummary(t *testing.T) {
 	cfg := obsCfg()
+	cfg.Workers = 4
 	cfg.Obs = obs.NewRegistry()
 	tr := newCountingTracer()
 	cfg.Trace = tr
+	gets0, _ := phy.PoolCounters()
 	res, err := RunCampus(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +154,15 @@ func TestRegistryCountsMatchSummary(t *testing.T) {
 	if snap.Counters[metricCacheMisses] == 0 || snap.Counters[metricCacheHits] == 0 {
 		t.Error("slot cache counters empty")
 	}
-	if snap.Gauges[metricPoolGets] <= 0 || snap.Gauges[metricPoolPuts] <= 0 {
-		t.Error("workspace pool gauges empty")
+	// Every (cell, trial) unit borrows a workspace and returns it: the
+	// pool gauges balance once the sweep drains, after at least one
+	// borrow per unit.
+	gets, puts := snap.Gauges[metricPoolGets], snap.Gauges[metricPoolPuts]
+	if gets != puts {
+		t.Errorf("workspace pool gauges unbalanced: %v gets vs %v puts", gets, puts)
+	}
+	if gets-float64(gets0) < float64(cells*trials) {
+		t.Errorf("workspace pool gets grew by %v, want >= %d (one per trial)", gets-float64(gets0), cells*trials)
 	}
 	if tr.count(EventTrialDone) != cells*trials {
 		t.Errorf("trial-done events %d, want %d", tr.count(EventTrialDone), cells*trials)

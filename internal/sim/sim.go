@@ -89,15 +89,6 @@ type Config struct {
 	// EngineScan exists as the differential-testing reference and escape
 	// hatch, not as a different model.
 	Engine string
-	// Pipeline routes RunCampus through the pipelined runner: workers
-	// with pinned workspace arenas claim (cell, trial) jobs off an
-	// atomic cursor, push finished trials through bounded SPSC rings,
-	// and a single merge stage scatters them into the result grid. The
-	// campus result is bit-identical to the sharded reference runner
-	// (each trial owns its world, RNG, and caches either way; only the
-	// scheduling changes), which stays the default and the
-	// differential-testing reference. Single-trial Run ignores it.
-	Pipeline bool
 	// Workload is the per-client offered-load model.
 	Workload Workload
 	// Transport configures the per-client windowed transport above the
@@ -253,6 +244,9 @@ func (c Config) validate() error {
 	if c.Cycles < 1 {
 		return fmt.Errorf("sim: need at least one cycle")
 	}
+	if c.Trials < 0 {
+		return fmt.Errorf("sim: Trials must be >= 0")
+	}
 	if c.GroupSize < 1 || c.GroupSize > 3 {
 		return fmt.Errorf("sim: GroupSize %d unsupported (1..3)", c.GroupSize)
 	}
@@ -314,5 +308,14 @@ func (c Config) validate() error {
 			}
 		}
 	}
-	return c.Workload.validate()
+	if err := c.Workload.validate(); err != nil {
+		return err
+	}
+	if peak := c.Workload.peakPacketsPerSlot(); peak > float64(c.MaxQueue) {
+		// Arrivals are generated one by one, so an unbounded rate is
+		// unbounded work — and past MaxQueue per slot every slot's
+		// arrivals overflow the whole buffer anyway.
+		return fmt.Errorf("sim: %s peak arrival rate %v packets/slot exceeds MaxQueue %d", c.Workload.Kind, peak, c.MaxQueue)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -104,19 +105,19 @@ func (w Workload) validate() error {
 	case Saturated:
 		return nil
 	case CBR, Poisson:
-		if !(w.PacketsPerSlot > 0) {
-			return fmt.Errorf("sim: %s workload needs PacketsPerSlot > 0", w.Kind)
+		if !(w.PacketsPerSlot > 0) || math.IsInf(w.PacketsPerSlot, 1) {
+			return fmt.Errorf("sim: %s workload needs a finite PacketsPerSlot > 0", w.Kind)
 		}
 		return nil
 	case Bursty:
-		if !(w.PacketsPerSlot > 0) {
-			return fmt.Errorf("sim: bursty workload needs PacketsPerSlot > 0")
+		if !(w.PacketsPerSlot > 0) || math.IsInf(w.PacketsPerSlot, 1) {
+			return fmt.Errorf("sim: bursty workload needs a finite PacketsPerSlot > 0")
 		}
 		if w.Duty != 0 && !(w.Duty > 0 && w.Duty < 1) {
 			return fmt.Errorf("sim: bursty Duty %v outside (0, 1)", w.Duty)
 		}
-		if w.MeanBurstSlots < 0 {
-			return fmt.Errorf("sim: bursty MeanBurstSlots must be >= 0")
+		if !(w.MeanBurstSlots >= 0) || math.IsInf(w.MeanBurstSlots, 1) {
+			return fmt.Errorf("sim: bursty MeanBurstSlots must be finite and >= 0")
 		}
 		return nil
 	case Streaming:
@@ -129,8 +130,8 @@ func (w Workload) validate() error {
 			// arrival process would never idle.
 			return fmt.Errorf("sim: streaming PacketsPerSlot %v exceeds 1 packet/slot", w.PacketsPerSlot)
 		}
-		if w.ChunkSlots < 0 {
-			return fmt.Errorf("sim: streaming ChunkSlots must be >= 0")
+		if !(w.ChunkSlots >= 0) || math.IsInf(w.ChunkSlots, 1) {
+			return fmt.Errorf("sim: streaming ChunkSlots must be finite and >= 0")
 		}
 		if w.ChunkSlots != 0 && w.ChunkSlots < 1 {
 			return fmt.Errorf("sim: streaming ChunkSlots %v below one slot", w.ChunkSlots)
@@ -138,13 +139,33 @@ func (w Workload) validate() error {
 		if w.StartupChunks < 0 {
 			return fmt.Errorf("sim: streaming StartupChunks must be >= 0")
 		}
-		if w.SleepFraction < 0 || w.SleepFraction > 1 {
+		if !(w.SleepFraction >= 0 && w.SleepFraction <= 1) {
 			return fmt.Errorf("sim: streaming SleepFraction %v outside [0, 1]", w.SleepFraction)
 		}
 		return nil
 	default:
 		return fmt.Errorf("sim: unknown workload kind %q", w.Kind)
 	}
+}
+
+// peakPacketsPerSlot is the densest arrival rate the workload reaches:
+// the mean rate for CBR and Poisson, the in-burst rate for Bursty, and
+// back-to-back packets within a streaming chunk. Saturated sources have
+// no arrival process.
+func (w Workload) peakPacketsPerSlot() float64 {
+	switch w.Kind {
+	case Bursty:
+		duty := w.Duty
+		if duty == 0 {
+			duty = 0.2
+		}
+		return w.PacketsPerSlot / duty
+	case Streaming:
+		return 1
+	case Saturated:
+		return 0
+	}
+	return w.PacketsPerSlot
 }
 
 // Generator produces one client's packet arrival process in slot time.

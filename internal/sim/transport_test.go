@@ -107,26 +107,6 @@ func TestTransportSerialMatchesSharded(t *testing.T) {
 	}
 }
 
-func TestTransportShardedMatchesPipeline(t *testing.T) {
-	cfg := streamCfg()
-	cfg.Cycles = 60
-	cfg.Trials = 3
-	cfg.Cells = Cells{Count: 2, Leak: 0.1}
-	cfg.Workers = 4
-	sharded, err := RunCampus(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Pipeline = true
-	piped, err := RunCampus(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sharded, piped) {
-		t.Fatal("pipelined campus diverged from the sharded reference with transport+streaming on")
-	}
-}
-
 func TestTransportObsDoesNotPerturb(t *testing.T) {
 	cfg := streamCfg()
 	bare, err := Run(cfg)
