@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// fuzzBound folds a fuzzed int8 into [-max, max], keeping its sign, so
+// fuzzBound folds a fuzzed int8 into [-limit, limit], keeping its sign, so
 // negative values still reach validation while every accepted config
 // stays tiny enough to run.
-func fuzzBound(v int8, max int) int { return int(v) % (max + 1) }
+func fuzzBound(v int8, limit int) int { return int(v) % (limit + 1) }
 
 // FuzzConfig drives arbitrary configurations through Validate and then
 // RunCampus at tiny sizes (Cycles <= 3, Trials <= 2, Cells <= 3,
