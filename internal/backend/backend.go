@@ -50,9 +50,13 @@ type Message struct {
 // wire format: type(1) from(4) seq(4) payloadLen(4) payload.
 const headerLen = 13
 
+// WireLen returns the length of the message's hub wire encoding, the
+// length of what Marshal returns.
+func (m Message) WireLen() int { return headerLen + len(m.Payload) }
+
 // Marshal encodes the message in the hub wire format.
 func (m Message) Marshal() []byte {
-	buf := make([]byte, headerLen+len(m.Payload))
+	buf := make([]byte, m.WireLen())
 	buf[0] = byte(m.Type)
 	binary.BigEndian.PutUint32(buf[1:5], uint32(m.From))
 	binary.BigEndian.PutUint32(buf[5:9], m.Seq)
@@ -99,7 +103,8 @@ type Hub interface {
 	BytesOnWire() int64
 }
 
-// MemHub is a deterministic in-memory Hub.
+// MemHub is a deterministic in-memory Hub. It counts each message's
+// wire length (WireLen) without encoding it.
 type MemHub struct {
 	mu     sync.Mutex
 	queues [][]Message
@@ -121,7 +126,7 @@ func (h *MemHub) Publish(port int, msg Message) error {
 	if port < 0 || port >= len(h.queues) {
 		return fmt.Errorf("backend: port %d out of range", port)
 	}
-	h.bytes += int64(len(msg.Marshal()))
+	h.bytes += int64(msg.WireLen())
 	for p := range h.queues {
 		if p == port {
 			continue
@@ -146,12 +151,15 @@ func (h *MemHub) Drain(port int) []Message {
 // DiscardAll clears every port's queue without returning the messages.
 // Long-running simulations that use the hub for wired-plane byte
 // accounting only (nobody consumes the broadcasts) call it once per CFP
-// cycle so queues stay bounded.
+// cycle so queues stay bounded. Each queue keeps its capacity, so a
+// steady-state cycle publishes without allocating; a slice an earlier
+// Drain returned owns its backing array and is never reused.
 func (h *MemHub) DiscardAll() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for p := range h.queues {
-		h.queues[p] = nil
+	for p, q := range h.queues {
+		clear(q)
+		h.queues[p] = q[:0]
 	}
 }
 

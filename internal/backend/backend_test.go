@@ -3,6 +3,7 @@ package backend
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -359,5 +360,93 @@ func TestIACBackendBits(t *testing.T) {
 	}
 	if BackendReduction(3, 4, 20e6, 8, 0) != 0 {
 		t.Fatal("zero throughput reduction should be 0")
+	}
+}
+
+// TestMemHubBytesOnWire: the hub counts exactly the bytes Marshal would
+// put on the wire, keeps hub semantics across the per-cycle DiscardAll
+// that recycles its queues, and never writes into a slice an earlier
+// Drain handed out.
+func TestMemHubBytesOnWire(t *testing.T) {
+	const ports = 3
+	h := NewMemHub(ports)
+	var want int64
+	for i, n := range []int{0, 1, 1440} {
+		m := Message{Type: MsgDecodedPacket, Seq: uint32(i), Payload: make([]byte, n)}
+		if err := h.Publish(0, m); err != nil {
+			t.Fatal(err)
+		}
+		want += int64(len(m.Marshal()))
+	}
+	if got := h.BytesOnWire(); got != want {
+		t.Fatalf("BytesOnWire = %d, want %d (sum of marshalled lengths)", got, want)
+	}
+
+	// Fill the queues past their first capacity, recycle them, and check
+	// that every later message reaches each other port exactly once.
+	for s := range 10 {
+		_ = h.Publish(s%ports, Message{Type: MsgAckMap, Seq: uint32(100 + s)})
+	}
+	h.DiscardAll()
+	for s := range 5 {
+		if err := h.Publish(s%ports, Message{Type: MsgLossReport, From: s % ports, Seq: uint32(200 + s)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drained := make([][]Message, ports)
+	for p := range ports {
+		drained[p] = h.Drain(p)
+		var got []uint32
+		for _, m := range drained[p] {
+			got = append(got, m.Seq)
+		}
+		var exp []uint32
+		for s := range 5 {
+			if s%ports != p {
+				exp = append(exp, uint32(200+s))
+			}
+		}
+		if !slices.Equal(got, exp) {
+			t.Fatalf("port %d after DiscardAll got seqs %v, want %v", p, got, exp)
+		}
+	}
+
+	// Later traffic, with recycles in between, must not reach the
+	// drained slices through any reused backing array.
+	snapshot := make([][]Message, ports)
+	for p := range ports {
+		snapshot[p] = slices.Clone(drained[p])
+	}
+	for round := range 3 {
+		for s := range 8 {
+			_ = h.Publish(s%ports, Message{Type: MsgDecodedPacket, Seq: uint32(300 + 10*round + s), Payload: []byte{byte(s)}})
+		}
+		h.DiscardAll()
+	}
+	for p := range ports {
+		if !slices.EqualFunc(drained[p], snapshot[p], func(a, b Message) bool {
+			return a.Type == b.Type && a.From == b.From && a.Seq == b.Seq && bytes.Equal(a.Payload, b.Payload)
+		}) {
+			t.Fatalf("port %d: a later Publish rewrote a drained slice: %v, was %v", p, drained[p], snapshot[p])
+		}
+	}
+}
+
+// TestMemHubSteadyStatePublishAllocs pins the cycle layer's hub floor:
+// once the queues have grown, a cycle's publishes and its DiscardAll
+// allocate nothing.
+func TestMemHubSteadyStatePublishAllocs(t *testing.T) {
+	h := NewMemHub(3)
+	share := Message{Type: MsgDecodedPacket, Payload: make([]byte, 1440)}
+	cycle := func() {
+		for s := range 16 {
+			share.Seq = uint32(s)
+			_ = h.Publish(0, share)
+		}
+		h.DiscardAll()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state hub cycle allocates %.1f times", allocs)
 	}
 }

@@ -276,13 +276,16 @@ func SolveUplinkChainWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (
 	}
 	owners, aSet, bSet := layout.owners, layout.aSet, layout.bSet
 
-	// Step 1: G_a per aligned packet.
+	// Step 1: G_a per aligned packet. The inverses are kept for the
+	// aligned packets' encoding vectors below.
 	gs := ws.MatrixPtrs(len(aSet))
+	invs := ws.MatrixPtrs(len(aSet))
 	for i, a := range aSet {
 		inv, err := cs[owners[a]][1].InverseWS(ws)
 		if err != nil {
 			return nil, fmt.Errorf("%w: H[%d][1] singular", ErrInfeasible, owners[a])
 		}
+		invs[i] = inv
 		gs[i] = cs[owners[a]][0].MulWS(ws, inv)
 	}
 
@@ -296,8 +299,7 @@ func SolveUplinkChainWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (
 	// Aligned packets.
 	ap0Dirs := ws.Vectors(m)[:0]
 	for i, a := range aSet {
-		inv, _ := cs[owners[a]][1].InverseWS(ws) // invertibility checked above
-		enc[a] = inv.MulVecWS(ws, d).NormalizeWS(ws)
+		enc[a] = invs[i].MulVecWS(ws, d).NormalizeWS(ws)
 		ap0Dirs = append(ap0Dirs, gs[i].MulVecWS(ws, d))
 	}
 

@@ -344,6 +344,28 @@ func TestBestOfTwoCreditForcesStarvedClient(t *testing.T) {
 	}
 }
 
+// TestBestOfTwoPickAllocs pins the cycle layer's picker floor: once its
+// scratch has grown, a pick allocates only the group it returns.
+func TestBestOfTwoPickAllocs(t *testing.T) {
+	p := NewBestOfTwoPicker(4, 8)
+	ring := make([]ClientID, 20)
+	for i := range ring {
+		ring[i] = ClientID(i % 10)
+	}
+	i := 0
+	pick := func() {
+		j := i % 10
+		i++
+		p.PickGroup(ring[j:j+10], 3, constRate)
+	}
+	for range 20 {
+		pick()
+	}
+	if allocs := testing.AllocsPerRun(200, pick); allocs > 1 {
+		t.Fatalf("steady-state pick allocates %.1f times, want at most 1 (the group)", allocs)
+	}
+}
+
 func TestBestOfTwoCreditResetsOnPick(t *testing.T) {
 	p := NewBestOfTwoPicker(3, 2)
 	est := constRate

@@ -16,7 +16,10 @@ type SlotResult struct {
 }
 
 // SlotRunner executes one transmission group on the PHY (or a model of
-// it) and returns the outcome. The group slice is never empty.
+// it) and returns the outcome. The group slice is never empty; it is the
+// Simulator's, valid for the duration of the call. The runner may return
+// Rate and Lost in buffers it owns and reuses: the Simulator reads them
+// before it calls the runner again and keeps no reference to them.
 type SlotRunner func(group []ClientID) SlotResult
 
 // Tracer observes packet lifecycle events. Slot times are in the

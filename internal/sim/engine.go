@@ -99,6 +99,11 @@ type engine struct {
 	stripes int
 	rotBuf  []*channel.Node
 
+	// rateBuf and lostBuf back the SlotResult runSlot hands the MAC,
+	// which reads it before the next slot runs (mac.SlotRunner).
+	rateBuf []float64
+	lostBuf []bool
+
 	// Event-driven traffic plane (the default EngineWheel path). For
 	// timed workloads every client's next arrival is an armed timer on
 	// the hierarchical wheel, so a cycle costs the timers that fire, not
@@ -484,9 +489,15 @@ func (e *engine) estimate(group []mac.ClientID) float64 {
 }
 
 // runSlot is the MAC's SlotRunner: execute the group on the PHY and put
-// the cancellation shares on the wired plane.
+// the cancellation shares on the wired plane. The result's slices are
+// the engine's, reused by the next call.
 func (e *engine) runSlot(group []mac.ClientID) mac.SlotResult {
-	res := mac.SlotResult{Rate: make([]float64, len(group)), Lost: make([]bool, len(group))}
+	n := len(group)
+	e.rateBuf = slices.Grow(e.rateBuf[:0], n)[:n]
+	e.lostBuf = slices.Grow(e.lostBuf[:0], n)[:n]
+	clear(e.rateBuf)
+	clear(e.lostBuf)
+	res := mac.SlotResult{Rate: e.rateBuf, Lost: e.lostBuf}
 	out := e.outcome(group)
 	if !out.ok {
 		// Planning failed (degenerate channels): the slot is wasted and

@@ -46,3 +46,33 @@ func benchIdleCampus(b *testing.B, engine string) {
 
 func BenchmarkSimulateIdleCampus(b *testing.B)     { benchIdleCampus(b, EngineWheel) }
 func BenchmarkSimulateIdleCampusScan(b *testing.B) { benchIdleCampus(b, EngineScan) }
+
+// BenchmarkSimCFPCycleWarm measures the steady-state CFP cycle of the
+// paper's acceptance cell (Default: 10 clients, 3 APs, uplink, Poisson
+// 0.1 packets/slot, best-of-two) with the plan cache warm. Like
+// benchIdleCampus it builds and warms the engine outside the timer, so
+// ns/op and allocs/op read the cycle layer on cache hits: the MAC pick,
+// the slot bookkeeping, the hub publishes and the timing wheel.
+func BenchmarkSimCFPCycleWarm(b *testing.B) {
+	cfg, err := Default().prepare()
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := newEngine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.ws = phy.GetWorkspace()
+	defer phy.PutWorkspace(e.ws)
+	// By a few thousand cycles the picker has met, and the engine has
+	// planned, nearly every group the cell forms.
+	const warm = 4096
+	for i := 0; i < warm; i++ {
+		e.cycle(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.cycle(warm + i)
+	}
+}

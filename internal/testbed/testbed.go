@@ -221,6 +221,25 @@ func rxOrders(n int) [][]int {
 	if n <= 3 {
 		return permutations(n)
 	}
+	if n < len(rotTable) {
+		return rotTable[n]
+	}
+	return genRotations(n)
+}
+
+// rotTable caches the rotations rxOrders returns for 4 to 8 APs, as
+// permTable caches the small shapes' permutations, so the per-slot role
+// search never regenerates them.
+var rotTable = func() [][][]int {
+	t := make([][][]int, 9)
+	for n := 4; n < len(t); n++ {
+		t[n] = genRotations(n)
+	}
+	return t
+}()
+
+// genRotations returns the n cyclic rotations of 0..n-1.
+func genRotations(n int) [][]int {
 	out := make([][]int, n)
 	for r := 0; r < n; r++ {
 		order := make([]int, n)
