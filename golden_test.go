@@ -17,6 +17,7 @@ import (
 
 	"iaclan/internal/channel"
 	"iaclan/internal/core"
+	"iaclan/internal/exp"
 	"iaclan/internal/mimo"
 	"iaclan/internal/phy"
 	"iaclan/internal/testbed"
@@ -24,7 +25,8 @@ import (
 
 // The golden table pins what the simulator outputs from one commit to
 // the next: a SHA-256 per case of a canonical encoding of the case's
-// result. Refactors that must not change behaviour leave the table
+// result, and for the paper figures their headline metrics in print.
+// Refactors that must not change behaviour leave the table
 // byte-identical. Regenerate it only for a deliberate behaviour change,
 // with `go test -run TestGolden -update .`, and record which cases moved
 // and why.
@@ -260,9 +262,37 @@ func goldenSimCases() []goldenCase {
 	return cases
 }
 
-// TestGolden compares every case's digest against the checked-in table.
+// goldenExpCases pins the headline metrics of each paper figure at the
+// quick experiment size. Unlike the digests above, each line spells its
+// metrics out (name=value, sorted by name, 6 significant digits), so a
+// deliberate change that moves a figure shows its delta in the diff, and
+// last-bit rounding that leaves every figure where it was does not.
+func goldenExpCases() []goldenCase {
+	var cases []goldenCase
+	for _, id := range []string{"fig12", "fig13a", "fig13b", "fig14", "fig15a", "fig15b", "fig16"} {
+		cases = append(cases, goldenCase{"exp/" + id, func(t *testing.T) string {
+			r, err := exp.Run(id, exp.QuickConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			names := make([]string, 0, len(r.Metrics))
+			for n := range r.Metrics {
+				names = append(names, n)
+			}
+			sort.Strings(names)
+			fields := make([]string, len(names))
+			for i, n := range names {
+				fields[i] = fmt.Sprintf("%s=%.6g", n, r.Metrics[n])
+			}
+			return strings.Join(fields, " ")
+		}})
+	}
+	return cases
+}
+
+// TestGolden compares every case's line against the checked-in table.
 func TestGolden(t *testing.T) {
-	cases := append(goldenSlotCases(), goldenSimCases()...)
+	cases := append(append(goldenSlotCases(), goldenSimCases()...), goldenExpCases()...)
 	var table strings.Builder
 	got := make(map[string]string, len(cases))
 	for _, c := range cases {
