@@ -109,20 +109,48 @@ func (p *Plan) NumPackets() int { return len(p.Owner) }
 
 // Clone returns a deep heap copy of p, detaching it from any workspace
 // arena or shared layout table its slices may reference. The solvers'
-// *WS variants return arena-backed candidate plans; the role-assignment
-// search clones only the winner.
+// *WS variants return arena-backed candidate plans.
 func (p *Plan) Clone() *Plan {
-	q := &Plan{M: p.M, Wired: p.Wired}
-	q.Owner = append([]int(nil), p.Owner...)
-	q.Encoding = make([]cmplxmat.Vector, len(p.Encoding))
-	for i, v := range p.Encoding {
-		q.Encoding[i] = v.Clone()
-	}
-	q.Schedule = make([]DecodeStep, len(p.Schedule))
-	for i, st := range p.Schedule {
-		q.Schedule[i] = DecodeStep{Rx: st.Rx, Packets: append([]int(nil), st.Packets...)}
-	}
+	q := &Plan{}
+	q.CopyFrom(p)
 	return q
+}
+
+// CopyFrom makes q a deep copy of p that equals p.Clone(), slice
+// nil-ness included, reusing q's slices where their capacity allows.
+// The role-assignment search copies each better candidate into one
+// retained winner, so a slot allocates its winner's storage once.
+func (q *Plan) CopyFrom(p *Plan) {
+	q.M, q.Wired = p.M, p.Wired
+	q.Owner = copyInts(q.Owner, p.Owner)
+	if q.Encoding == nil || cap(q.Encoding) < len(p.Encoding) {
+		q.Encoding = append(make([]cmplxmat.Vector, 0, len(p.Encoding)), q.Encoding...)
+	}
+	q.Encoding = q.Encoding[:len(p.Encoding)]
+	for i, v := range p.Encoding {
+		w := q.Encoding[i]
+		if w == nil || cap(w) < len(v) {
+			w = make(cmplxmat.Vector, len(v))
+		}
+		q.Encoding[i] = w[:len(v)]
+		copy(q.Encoding[i], v)
+	}
+	if q.Schedule == nil || cap(q.Schedule) < len(p.Schedule) {
+		q.Schedule = append(make([]DecodeStep, 0, len(p.Schedule)), q.Schedule...)
+	}
+	q.Schedule = q.Schedule[:len(p.Schedule)]
+	for i, st := range p.Schedule {
+		q.Schedule[i] = DecodeStep{Rx: st.Rx, Packets: copyInts(q.Schedule[i].Packets, st.Packets)}
+	}
+}
+
+// copyInts returns a copy of src in dst's storage when it fits; like
+// append([]int(nil), src...), an empty src copies to nil.
+func copyInts(dst, src []int) []int {
+	if len(src) == 0 {
+		return nil
+	}
+	return append(dst[:0], src...)
 }
 
 // Validate checks structural invariants: every packet appears exactly once

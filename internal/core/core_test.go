@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"iaclan/internal/cmplxmat"
@@ -24,6 +25,51 @@ func TestChannelSetShape(t *testing.T) {
 	}
 	if (ChannelSet{}).NumRx() != 0 {
 		t.Fatal("zero set NumRx")
+	}
+}
+
+// TestPlanCopyFromMatchesClone copies plans of changing shapes into one
+// retained plan, as the role-assignment search does, and requires each
+// copy to equal Clone (slice nil-ness included) and to share no storage
+// with its source.
+func TestPlanCopyFromMatchesClone(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var plans []*Plan
+	for _, shape := range []struct{ m, clients, aps int }{{2, 3, 5}, {3, 3, 5}, {2, 2, 2}, {2, 3, 3}, {4, 4, 6}} {
+		p, err := SolveUplinkChain(RandomChannelSet(rng, shape.clients, shape.aps, shape.m, testSNR), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	tri, err := SolveDownlinkTriangle(RandomChannelSet(rng, 3, 3, 2, testSNR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans = append(plans, tri, &Plan{}, &Plan{M: 2, Owner: []int{}, Encoding: []cmplxmat.Vector{nil}, Schedule: []DecodeStep{{Rx: 1, Packets: []int{}}}})
+	q := new(Plan)
+	for i, p := range plans {
+		q.CopyFrom(p)
+		if !reflect.DeepEqual(q, p.Clone()) {
+			t.Fatalf("plan %d: CopyFrom = %+v, Clone = %+v", i, q, p.Clone())
+		}
+		want := p.Clone()
+		for _, v := range p.Encoding {
+			for j := range v {
+				v[j]++
+			}
+		}
+		for _, st := range p.Schedule {
+			for j := range st.Packets {
+				st.Packets[j] += 10
+			}
+		}
+		for j := range p.Owner {
+			p.Owner[j] += 10
+		}
+		if !reflect.DeepEqual(q, want) {
+			t.Fatalf("plan %d: the copy shares storage with its source", i)
+		}
 	}
 }
 

@@ -36,7 +36,8 @@ func SolveDownlinkTriangle(cs ChannelSet) (*Plan, error) {
 }
 
 // The triangle's packet layout is fixed; the shared read-only slices are
-// referenced by every candidate plan and deep-copied only on Clone.
+// referenced by every candidate plan and deep-copied only when a plan
+// is copied out.
 var (
 	triangleOwners   = []int{0, 1, 2}
 	triangleSchedule = []DecodeStep{

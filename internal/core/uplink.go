@@ -29,7 +29,8 @@ func SolveUplinkThree(cs ChannelSet, rng *rand.Rand) (*Plan, error) {
 }
 
 // uplinkThree's packet layout is fixed; the shared read-only slices are
-// referenced by every candidate plan and deep-copied only on Clone.
+// referenced by every candidate plan and deep-copied only when a plan
+// is copied out.
 var (
 	uplinkThreeOwners   = []int{0, 0, 1}
 	uplinkThreeSchedule = []DecodeStep{
@@ -41,8 +42,8 @@ var (
 // SolveUplinkThreeWS is SolveUplinkThree with the intermediate linear
 // algebra AND the returned plan in the workspace arena (its layout
 // slices are shared read-only tables). Callers that keep the plan past
-// the workspace's lifetime must Clone it; the role-assignment search
-// clones only winners.
+// the workspace's lifetime must copy it out (Clone or CopyFrom); the
+// role-assignment search copies only winners.
 func SolveUplinkThreeWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (*Plan, error) {
 	if cs.NumTx() != 2 || cs.NumRx() != 2 {
 		return nil, fmt.Errorf("core: SolveUplinkThree needs 2 clients and 2 APs, got %dx%d", cs.NumTx(), cs.NumRx())
@@ -195,7 +196,7 @@ func SolveUplinkChain(cs ChannelSet, rng *rand.Rand) (*Plan, error) {
 // chainLayout caches the chain construction's deterministic packet
 // layout per (antenna count, chain length). The slices are shared
 // read-only across candidate plans and deep-copied only when a winner
-// is cloned.
+// is copied out.
 type chainLayout struct {
 	owners, aSet, bSet []int
 	schedule           []DecodeStep

@@ -174,19 +174,22 @@ func bestAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, downl
 				lastErr = err
 			} else if ev.SumRate > bestRate {
 				bestRate = ev.SumRate
-				// Clone detaches the winner from the workspace before the
-				// release below reclaims the candidate's memory.
-				winner := plannedPlan{Plan: plan.Clone(), PlannedChannels: est}
+				// Copy the candidate out of the workspace before the
+				// release below reclaims its memory. The previous
+				// winner's buffers are dead, so the copy reuses them.
+				if best.Plan == nil {
+					best.Plan = new(core.Plan)
+				}
+				best.Plan.CopyFrom(plan)
+				best.PlannedChannels = est
 				if trackPlanned {
-					// The previous winner's buffers are dead; reuse them.
-					winner.PlannedRate = append(best.PlannedRate[:0], ev.PacketRate...)
+					best.PlannedRate = append(best.PlannedRate[:0], ev.PacketRate...)
 					if opts.Rate != nil {
 						// Planner SINRs feed the MCS outage rule only;
 						// dynamics-mode tracking skips them.
-						winner.PlannedSINR = append(best.PlannedSINR[:0], ev.SINR...)
+						best.PlannedSINR = append(best.PlannedSINR[:0], ev.SINR...)
 					}
 				}
-				best = winner
 				bestPerm = perm
 			}
 			ws.Release(mark)
