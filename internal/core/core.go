@@ -461,15 +461,41 @@ func (p *Plan) EvaluateOptsWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, 
 	decoded := ws.Bools(k)
 	residual := ws.Ints(k)
 	interfDirs := ws.Vectors(k)
+	// Per-step received directions, indexed by packet: estDir = Hest·v,
+	// weighted = estDir·√power (the interference the decoder nulls),
+	// trueDir = Htrue·v and leak = (Htrue − Hest)·v for cancelled
+	// packets. None depends on which of the step's packets is decoded,
+	// so each is computed once per step.
+	estDir := ws.Vectors(k)
+	weighted := ws.Vectors(k)
+	trueDir := ws.Vectors(k)
+	leak := ws.Vectors(k)
 	for _, step := range p.Schedule {
 		// Residual packets at this receiver: everything not cancelled.
 		nRes := 0
 		for pkt := range p.Owner {
+			hTrue, hEst := trueCS[p.Owner[pkt]][step.Rx], estCS[p.Owner[pkt]][step.Rx]
 			if p.Wired && decoded[pkt] {
-				continue // cancelled via backend
+				// Cancelled via backend. When the estimate is the true
+				// matrix itself (the planner scoring on its estimates)
+				// the leakage is an exact zero and is skipped.
+				leak[pkt] = nil
+				if hTrue != hEst {
+					leak[pkt] = hTrue.SubWS(ws, hEst).MulVecWS(ws, p.Encoding[pkt])
+				}
+				if opts.ResidualCancel {
+					trueDir[pkt] = hTrue.MulVecWS(ws, p.Encoding[pkt])
+				}
+				continue
 			}
 			residual[nRes] = pkt
 			nRes++
+			estDir[pkt] = hEst.MulVecWS(ws, p.Encoding[pkt])
+			weighted[pkt] = estDir[pkt].ScaleWS(ws, complex(math.Sqrt(powers[pkt]), 0))
+			trueDir[pkt] = estDir[pkt]
+			if hTrue != hEst {
+				trueDir[pkt] = hTrue.MulVecWS(ws, p.Encoding[pkt])
+			}
 		}
 		for _, pkt := range step.Packets {
 			// Decoding vector: project the estimated signal direction off
@@ -481,30 +507,24 @@ func (p *Plan) EvaluateOptsWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, 
 			// estimation inaccuracy only leaves residual interference).
 			nInt := 0
 			for _, q := range residual[:nRes] {
-				if q == pkt {
-					continue
+				if q != pkt {
+					interfDirs[nInt] = weighted[q]
+					nInt++
 				}
-				d := estCS[p.Owner[q]][step.Rx].MulVecWS(ws, p.Encoding[q])
-				interfDirs[nInt] = d.ScaleWS(ws, complex(math.Sqrt(powers[q]), 0))
-				nInt++
 			}
-			sigDir := estCS[p.Owner[pkt]][step.Rx].MulVecWS(ws, p.Encoding[pkt])
-			w := zfDecodingVectorWS(ws, sigDir, interfDirs[:nInt], p.M)
+			w := zfDecodingVectorWS(ws, estDir[pkt], interfDirs[:nInt], p.M)
 			if w == nil {
 				return Evaluation{}, fmt.Errorf("%w: no decoding vector for packet %d at rx %d", ErrInfeasible, pkt, step.Rx)
 			}
 			ev.Decoding[pkt] = w
 
 			// True post-projection powers.
-			hTrue := trueCS[p.Owner[pkt]][step.Rx]
-			sig := cmplxAbs2(w.Dot(hTrue.MulVecWS(ws, p.Encoding[pkt]))) * powers[pkt]
+			sig := cmplxAbs2(w.Dot(trueDir[pkt])) * powers[pkt]
 			interf := 0.0
 			for _, q := range residual[:nRes] {
-				if q == pkt {
-					continue
+				if q != pkt {
+					interf += cmplxAbs2(w.Dot(trueDir[q])) * powers[q]
 				}
-				d := trueCS[p.Owner[q]][step.Rx].MulVecWS(ws, p.Encoding[q])
-				interf += cmplxAbs2(w.Dot(d)) * powers[q]
 			}
 			// Cancellation residual: packets subtracted using estimated
 			// channels leave (Htrue - Hest) v of leakage, and — under the
@@ -518,11 +538,11 @@ func (p *Plan) EvaluateOptsWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, 
 					if !decoded[q] {
 						continue
 					}
-					diff := trueCS[p.Owner[q]][step.Rx].SubWS(ws, estCS[p.Owner[q]][step.Rx])
-					interf += cmplxAbs2(w.Dot(diff.MulVecWS(ws, p.Encoding[q]))) * powers[q]
+					if leak[q] != nil {
+						interf += cmplxAbs2(w.Dot(leak[q])) * powers[q]
+					}
 					if opts.ResidualCancel {
-						d := trueCS[p.Owner[q]][step.Rx].MulVecWS(ws, p.Encoding[q])
-						interf += cmplxAbs2(w.Dot(d)) * powers[q] / (1 + ev.SINR[q])
+						interf += cmplxAbs2(w.Dot(trueDir[q])) * powers[q] / (1 + ev.SINR[q])
 					}
 				}
 			}

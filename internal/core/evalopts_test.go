@@ -176,3 +176,40 @@ func TestEvalOptionsRateHook(t *testing.T) {
 		t.Fatalf("sum rate %v, want %v", ev.SumRate, 2*plan.NumPackets())
 	}
 }
+
+// TestEvaluateSameMatrixShortcutIsExact: when an estimate is the true
+// matrix itself, EvaluateOptsWS reuses the received directions and skips
+// the zero leakage product. Scoring against a deep copy of the channels
+// (distinct matrices, equal values) takes the full path and must agree
+// bit for bit.
+func TestEvaluateSameMatrixShortcutIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	ws := cmplxmat.NewWorkspace()
+	for trial := 0; trial < 50; trial++ {
+		m := 2 + trial%3
+		cs := RandomChannelSet(rng, UplinkChainAssignment{M: m}.NumClients(), UplinkChainMaxAPs(m), m, 100)
+		plan, err := SolveUplinkChain(cs, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied := NewChannelSet(cs.NumTx(), cs.NumRx())
+		for i := range cs {
+			for j := range cs[i] {
+				copied[i][j] = cs[i][j].Clone()
+			}
+		}
+		for _, opts := range []EvalOptions{{NodePower: 1, Noise: 1}, {NodePower: 1, Noise: 1, ResidualCancel: true}} {
+			same, err := plan.EvaluateOptsWS(ws, cs, cs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := plan.EvaluateOptsWS(ws, cs, copied, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(same, full) {
+				t.Fatalf("trial %d residual=%v: shortcut %v, full path %v", trial, opts.ResidualCancel, same.SINR, full.SINR)
+			}
+		}
+	}
+}
