@@ -146,6 +146,19 @@ func BenchmarkSolveUplinkThree(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveUplinkChainM2 times the four-packet Fig. 5 construction
+// over four APs, the chain the campus workload plans cold.
+func BenchmarkSolveUplinkChainM2(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	cs := core.RandomChannelSet(rng, 3, 4, 2, 100)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.SolveUplinkChain(cs, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolveUplinkChainM3 times the six-packet Fig. 8 construction.
 func BenchmarkSolveUplinkChainM3(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))

@@ -700,7 +700,10 @@ func (m *Matrix) EigenvectorWS(ws *Workspace, lambda complex128) (Vector, error)
 // allocates a handful of small slices (see Poly.Roots); that remaining
 // allocation is load-bearing — Durand-Kerner's iterate count is
 // data-dependent, so its buffers cannot be sized from the arena up front
-// without a worst-case bound far above the typical need.
+// without a worst-case bound far above the typical need. The downlink
+// triangle calls this for M >= 3 only: for 2x2 products it takes the
+// same largest-magnitude eigenvector in closed form (core's
+// eigenvector2WS), and this routine is that closed form's test oracle.
 func (m *Matrix) AnyEigenvectorWS(ws *Workspace) (complex128, Vector, error) {
 	vals, err := m.CharPolyWS(ws).Roots()
 	if err != nil {

@@ -571,7 +571,7 @@ func cmplxAbs2(c complex128) float64 {
 	return real(c)*real(c) + imag(c)*imag(c)
 }
 
-// zfDecodingVector returns a unit vector that nulls the (at most M-1
+// zfDecodingVectorWS returns a unit vector that nulls the (at most M-1
 // dimensional) dominant subspace of the interference directions while
 // retaining a component along the signal direction. It returns nil when
 // the signal direction is indistinguishable from interference.
@@ -579,8 +579,21 @@ func cmplxAbs2(c complex128) float64 {
 // With exact alignment the interference genuinely spans at most M-1
 // dimensions and this reduces to the paper's orthogonal projection; with
 // estimation noise it nulls the strongest M-1 principal components, the
-// least-squares interference suppressor.
+// least-squares interference suppressor. For M = 2 the principal
+// component comes in closed form from the 2x2 interference Gram
+// (zfDecoding2WS); otherwise from an SVD (zfDecodingVectorSVDWS).
 func zfDecodingVectorWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf []cmplxmat.Vector, m int) cmplxmat.Vector {
+	if m == 2 && len(interf) >= 2 {
+		return zfDecoding2WS(ws, sigDir, interf)
+	}
+	return zfDecodingVectorSVDWS(ws, sigDir, interf, m)
+}
+
+// zfDecodingVectorSVDWS is zfDecodingVectorWS for any M: it projects the
+// signal off the interference itself when at most M-1 directions
+// interfere, and off the leading M-1 left singular vectors of the
+// stacked interference otherwise.
+func zfDecodingVectorSVDWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf []cmplxmat.Vector, m int) cmplxmat.Vector {
 	if sigDir.Norm() == 0 {
 		return nil
 	}

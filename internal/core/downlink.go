@@ -79,7 +79,12 @@ func SolveDownlinkTriangleWS(ws *cmplxmat.Workspace, cs ChannelSet) (*Plan, erro
 		return nil, err
 	}
 	prod := lhsInv.MulWS(ws, cs[0][2].MulWS(ws, b))
-	_, v2, err := prod.AnyEigenvectorWS(ws)
+	var v2 cmplxmat.Vector
+	if m == 2 {
+		_, v2, err = eigenvector2WS(ws, prod)
+	} else {
+		_, v2, err = prod.AnyEigenvectorWS(ws)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}

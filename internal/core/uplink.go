@@ -354,10 +354,13 @@ func SolveUplinkChainWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (
 
 // dependentDirectionWS finds a nonzero d with det[g[0]d, ..., g[k-1]d] = 0,
 // where k = len(g) equals the matrix dimension. It parametrizes d along a
-// random complex line, interpolates the degree-k determinant polynomial
-// from k+1 point evaluations, and roots it with Durand-Kerner. Roots are
-// screened so the resulting column family has rank exactly k-1. The
-// returned direction is workspace-backed.
+// random complex line d = x + t·y and roots the degree-k determinant
+// polynomial in t: in closed form for k = 2 (dependentOnLine2WS), and
+// otherwise by interpolating it from k+1 point evaluations and rooting
+// it with Durand-Kerner (dependentOnLineDKWS). Roots are screened so the
+// resulting column family has rank exactly k-1; a line without a usable
+// root is replaced by a fresh one, up to eight times. The returned
+// direction is workspace-backed.
 func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *rand.Rand) (cmplxmat.Vector, error) {
 	m := g[0].Rows()
 	if len(g) != m {
@@ -366,6 +369,40 @@ func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *ran
 	if m == 1 {
 		return nil, fmt.Errorf("%w: no nontrivial dependence in dimension 1", ErrInfeasible)
 	}
+	onLine := dependentOnLineDKWS
+	if m == 2 {
+		onLine = dependentOnLine2WS
+	}
+	return searchDependentLines(ws, g, rng, onLine)
+}
+
+// dependentLineFunc returns a usable dependent direction on the line
+// x + t·y, or nil if the line has none.
+type dependentLineFunc func(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, x, y cmplxmat.Vector) cmplxmat.Vector
+
+// searchDependentLines draws random lines until onLine finds a
+// dependent direction on one. The draws do not depend on onLine, so
+// two line solvers that agree on which lines have a usable root consume
+// the same random numbers.
+func searchDependentLines(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *rand.Rand, onLine dependentLineFunc) (cmplxmat.Vector, error) {
+	m := g[0].Rows()
+	const maxAttempts = 8
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		x := cmplxmat.RandomGaussianVectorWS(ws, rng, m)
+		y := cmplxmat.RandomGaussianVectorWS(ws, rng, m)
+		if d := onLine(ws, g, x, y); d != nil {
+			return d, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: no dependent direction found", ErrInfeasible)
+}
+
+// dependentOnLineDKWS is the general line solver, for any dimension
+// m >= 2: it samples the determinant at m+1 points of the line,
+// interpolates the polynomial and tries its Durand-Kerner roots in the
+// order Poly.Roots returns them.
+func dependentOnLineDKWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, x, y cmplxmat.Vector) cmplxmat.Vector {
+	m := g[0].Rows()
 	detAt := func(d cmplxmat.Vector) complex128 {
 		cols := ws.Vectors(m)
 		for i := range g {
@@ -373,39 +410,43 @@ func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *ran
 		}
 		return cmplxmat.FromColumnsWS(ws, cols).DetWS(ws)
 	}
-	const maxAttempts = 8
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		x := cmplxmat.RandomGaussianVectorWS(ws, rng, m)
-		y := cmplxmat.RandomGaussianVectorWS(ws, rng, m)
-		// Sample at m+1 points and interpolate the degree-m polynomial.
-		ts := ws.Complexes(m + 1)
-		vals := ws.Complexes(m + 1)
-		for i := range ts {
-			// Deterministic, well-separated sample points.
-			ts[i] = complex(float64(i)-float64(m)/2, float64(i%2)+0.5)
-			vals[i] = detAt(x.AddWS(ws, y.ScaleWS(ws, ts[i])))
-		}
-		poly := cmplxmat.InterpolatePoly(ts, vals)
-		roots, err := poly.Roots()
-		if err != nil {
-			continue
-		}
-		for _, t := range roots {
-			d := x.AddWS(ws, y.ScaleWS(ws, t))
-			if d.Norm() < 1e-9 {
-				continue
-			}
-			d = d.NormalizeWS(ws)
-			cols := ws.Vectors(m)
-			for i := range g {
-				cols[i] = g[i].MulVecWS(ws, d)
-			}
-			if cmplxmat.FromColumnsWS(ws, cols).RankWS(ws, 1e-7) == m-1 {
-				return d, nil
-			}
+	// Sample at m+1 points and interpolate the degree-m polynomial.
+	ts := ws.Complexes(m + 1)
+	vals := ws.Complexes(m + 1)
+	for i := range ts {
+		// Deterministic, well-separated sample points.
+		ts[i] = complex(float64(i)-float64(m)/2, float64(i%2)+0.5)
+		vals[i] = detAt(x.AddWS(ws, y.ScaleWS(ws, ts[i])))
+	}
+	roots, err := cmplxmat.InterpolatePoly(ts, vals).Roots()
+	if err != nil {
+		return nil
+	}
+	for _, t := range roots {
+		if d := dependentAt(ws, g, x.AddWS(ws, y.ScaleWS(ws, t))); d != nil {
+			return d
 		}
 	}
-	return nil, fmt.Errorf("%w: no dependent direction found", ErrInfeasible)
+	return nil
+}
+
+// dependentAt screens one candidate direction d: it must be nonzero,
+// and once normalized the column family [g[0]d, ..., g[k-1]d] must have
+// numerical rank (tolerance 1e-7) exactly k-1. It returns the unit
+// direction, or nil.
+func dependentAt(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, d cmplxmat.Vector) cmplxmat.Vector {
+	if d.Norm() < 1e-9 {
+		return nil
+	}
+	d = d.NormalizeWS(ws)
+	cols := ws.Vectors(len(g))
+	for i := range g {
+		cols[i] = g[i].MulVecWS(ws, d)
+	}
+	if cmplxmat.FromColumnsWS(ws, cols).RankWS(ws, 1e-7) != len(g)-1 {
+		return nil
+	}
+	return d
 }
 
 // matchedFreeVectorWS beamforms an unconstrained packet at the projection
