@@ -73,27 +73,29 @@ func TestStreamingWithoutTransportRunsAndAccounts(t *testing.T) {
 
 func TestStreamingRebuffersUnderNoise(t *testing.T) {
 	// A clean channel should play back smoothly; a harsh one must stall.
+	// One 120-cycle trial of six clients holds too few sessions for the
+	// comparison to hold at every seed, so each side pools eight trials.
+	pooled := func(cfg Config) StreamStats {
+		trials, err := RunTrials(cfg, 8, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Summarize(trials).Stream
+	}
 	clean := streamCfg()
 	clean.Link = Link{}
-	cleanRes, err := Run(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
 	noisy := streamCfg()
 	noisy.Link.NoiseDB = 24
-	noisyRes, err := Run(noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noisyRes.Stream.RebufferEvents <= cleanRes.Stream.RebufferEvents {
+	cleanSt, noisySt := pooled(clean), pooled(noisy)
+	if noisySt.RebufferEvents <= cleanSt.RebufferEvents {
 		t.Fatalf("rebuffers did not rise with noise: %d (clean) vs %d (+24 dB)",
-			cleanRes.Stream.RebufferEvents, noisyRes.Stream.RebufferEvents)
+			cleanSt.RebufferEvents, noisySt.RebufferEvents)
 	}
-	if noisyRes.Stream.RebufferRate <= 0 {
-		t.Fatalf("rebuffer rate %v at +24 dB, want > 0", noisyRes.Stream.RebufferRate)
+	if noisySt.RebufferRate <= 0 {
+		t.Fatalf("rebuffer rate %v at +24 dB, want > 0", noisySt.RebufferRate)
 	}
-	if noisyRes.Stream.RebufferRate > 1 {
-		t.Fatalf("rebuffer rate %v exceeds 1: stalled time outran watch time", noisyRes.Stream.RebufferRate)
+	if noisySt.RebufferRate > 1 {
+		t.Fatalf("rebuffer rate %v exceeds 1: stalled time outran watch time", noisySt.RebufferRate)
 	}
 }
 
